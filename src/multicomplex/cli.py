@@ -9,6 +9,7 @@ format may be set with the MULTICOMPLEX_FORMAT environment variable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -126,6 +127,21 @@ def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
+@contextlib.contextmanager
+def _any_size_ints():
+    """Lift Python's int-to-str digit limit while counts are printed.
+
+    Counts at the default cap run to ~150,000 digits.  The limit guards
+    str-to-int parsing too, so argv is parsed before this is entered.
+    """
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _check_cap(n: int, cap: int, override: int | None) -> None:
     limit = override if override is not None else cap
     if n > limit:
@@ -144,21 +160,23 @@ def _cmd_count(args) -> int:
             raise BudgetExceeded(
                 f"N={args.n_symbols} exceeds the cap {1 << (limit - 1)}"
             )
-        print(counting.count_signed_r_involutions(args.n_symbols, args.r))
-        return 0
-    if args.n is None:
-        raise _UsageError(f"count {what} needs --n")
-    _check_cap(args.n, COUNT_MAX_N, args.budget)
-    if what == "automorphisms":
-        print(counting.count_automorphisms(args.n))
-    elif what == "involutions":
-        print(counting.count_involutions(args.n))
-    elif what == "r-involutions":
-        if args.r is None:
-            raise _UsageError("count r-involutions needs --r")
-        print(counting.count_r_involutions(args.n, args.r))
-    elif what == "preserving":
-        print(counting.count_preserving(args.n))
+        value = counting.count_signed_r_involutions(args.n_symbols, args.r)
+    else:
+        if args.n is None:
+            raise _UsageError(f"count {what} needs --n")
+        _check_cap(args.n, COUNT_MAX_N, args.budget)
+        if what == "automorphisms":
+            value = counting.count_automorphisms(args.n)
+        elif what == "involutions":
+            value = counting.count_involutions(args.n)
+        elif what == "r-involutions":
+            if args.r is None:
+                raise _UsageError("count r-involutions needs --r")
+            value = counting.count_r_involutions(args.n, args.r)
+        else:
+            value = counting.count_preserving(args.n)
+    with _any_size_ints():
+        print(value)
     return 0
 
 
@@ -306,27 +324,40 @@ def _cmd_table(args) -> int:
         {"n": n, "involutions": counting.count_involutions(n)}
         for n in range(1, args.max_n + 1)
     ]
-    if fmt == "json":
-        _emit_json(rows)
-    elif fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "involutions"])
-        for row in rows:
-            writer.writerow([row["n"], row["involutions"]])
-        sys.stdout.write(buf.getvalue())
-    else:
-        print("| n | involutions |")
-        print("|---|---|")
-        for row in rows:
-            print(f"| {row['n']} | {row['involutions']} |")
+    with _any_size_ints():
+        if fmt == "json":
+            _emit_json(rows)
+        elif fmt == "csv":
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["n", "involutions"])
+            for row in rows:
+                writer.writerow([row["n"], row["involutions"]])
+            sys.stdout.write(buf.getvalue())
+        else:
+            print("| n | involutions |")
+            print("|---|---|")
+            for row in rows:
+                print(f"| {row['n']} | {row['involutions']} |")
     return 0
+
+
+def _join_perm(argv: Sequence[str]) -> list[str]:
+    """Spell `--perm X` as `--perm=X`, so a text such as "-3,1,2,4" is not
+    read as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--perm":
+            out[-1] = f"--perm={arg}"
+        else:
+            out.append(arg)
+    return out
 
 
 def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_join_perm(argv))
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "enumerate":

@@ -45,18 +45,19 @@ def count_automorphisms(n: int) -> int:
 def count_signed_involutions(N: int) -> int:
     """Signed permutations on N symbols squaring to the identity.
 
-    Closed form: N! * sum over k of 2^(N-2k) / (k! * (N-2k)!), where k runs
-    over the number of 2-cycles.
+    Closed form: the sum over k of t_k = N! * 2^(N-2k) / (k! * (N-2k)!),
+    where k runs over the number of 2-cycles.  Each term comes from the one
+    before by t_(k+1) = t_k * (N-2k)(N-2k-1) / (4(k+1)), starting from
+    t_0 = 2^N, so the sum costs O(N) big-integer steps.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
-    total = 0
-    fact_n = math.factorial(N)
-    for k in range(N // 2 + 1):
-        num = fact_n * (1 << (N - 2 * k))
-        den = math.factorial(k) * math.factorial(N - 2 * k)
-        assert num % den == 0
-        total += num // den
+    term = 1 << N
+    total = term
+    for k in range(N // 2):
+        term, rem = divmod(term * ((N - 2 * k) * (N - 2 * k - 1)), 4 * (k + 1))
+        assert rem == 0, "term ratio left a remainder"
+        total += term
     return total
 
 
@@ -137,25 +138,34 @@ def cycle_types_with_parts_dividing(N: int, r: int) -> Iterator[CycleType]:
 def count_signed_r_involutions(N: int, r: int) -> int:
     """Signed permutations pi on N symbols with pi^r = identity.
 
-    Sums over cycle types with parts dividing r.  A cycle of length k admits
-    all 2^k sign patterns when r/k is even, and only the 2^(k-1) patterns
-    with positive sign product when r/k is odd (a negative product doubles
-    the order to 2k).  The 2-power cancellation is asserted at runtime.
+    A cycle of length d dividing r admits all 2^d sign patterns when r/d is
+    even, and only the 2^(d-1) patterns with positive sign product when r/d
+    is odd (a negative product doubles the order to 2d).  Choosing the cycle
+    through the last symbol gives the recurrence (Chowla, Herstein & Moore,
+    Canad. J. Math. 3, 1951)
+
+        a(0) = 1,  a(m) = sum over d | r, d <= m of w_d * (m-1)!/(m-d)! * a(m-d)
+
+    with w_d = 2^d or 2^(d-1) as above: O(N * tau(r)) big-integer steps,
+    tau(r) being the number of divisors of r.  Only the last max(d) values
+    of a are kept.
     """
     if N < 1:
         raise ValueError("N must be at least 1")
     if r < 1:
         raise ValueError("r must be at least 1")
-    total = 0
-    for ctype in cycle_types_with_parts_dividing(N, r):
-        halved = sum(
-            m for k, m in ctype.multiplicities.items() if (r // k) % 2 == 1
-        )
-        num = ctype.permutation_count() * (1 << N)
-        den = 1 << halved
-        assert num % den == 0, "2-power cancellation failed"
-        total += num // den
-    return total
+    parts = [(d, d - ((r // d) % 2)) for d in _divisors_up_to(r, N)]
+    window = parts[-1][0]
+    recent = [0] * window  # recent[m % window] holds a(m)
+    recent[0] = 1
+    for m in range(1, N + 1):
+        total = 0
+        for d, shift in parts:
+            if d > m:
+                break
+            total += (math.perm(m - 1, d - 1) << shift) * recent[(m - d) % window]
+        recent[m % window] = total
+    return recent[N % window]
 
 
 def count_r_involutions(n: int, r: int) -> int:

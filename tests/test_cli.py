@@ -1,15 +1,23 @@
 """End-to-end tests for the command-line interface, via run()."""
+import csv
+import io
 import json
+import sys
 
 import pytest
 
-from multicomplex import cli
+from multicomplex import cli, counting
 
 
 def invoke(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(scope="module")
+def involutions_to_cap():
+    return {n: counting.count_involutions(n) for n in range(1, cli.COUNT_MAX_N + 1)}
 
 
 class TestCount:
@@ -58,6 +66,72 @@ class TestCount:
         )
         assert code == 0
         assert int(out) > 0
+
+
+class TestLargeCounts:
+    """Counts run past Python's 4300-digit int-to-str limit; the CLI lifts
+    it only while printing."""
+
+    def test_prints_past_the_digit_limit(self, capsys):
+        before = sys.get_int_max_str_digits()
+        code, out, err = invoke(capsys, "count", "automorphisms", "--n", "12")
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == before
+        with cli._any_size_ints():
+            assert out.strip() == str(counting.count_automorphisms(12))
+
+    def test_argv_parsing_keeps_the_limit(self, capsys):
+        code, _, err = invoke(capsys, "count", "involutions", "--n", "1" * 5000)
+        assert code == 1 and "usage error" in err
+
+    @pytest.mark.parametrize("fmt", ["csv", "markdown"])  # json: TestCountCap
+    def test_table_formats_print_past_the_limit(self, capsys, fmt, involutions_to_cap):
+        code, out, err = invoke(capsys, "table", "--max-n", "13", "--format", fmt)
+        assert (code, err) == (0, "")
+        with cli._any_size_ints():
+            if fmt == "csv":
+                rows = [(int(n), int(v)) for n, v in list(csv.reader(io.StringIO(out)))[1:]]
+            else:
+                rows = [tuple(int(cell) for cell in line.strip("| ").split(" | "))
+                        for line in out.splitlines()[2:]]
+        assert rows == [(n, involutions_to_cap[n]) for n in range(1, 14)]
+
+
+class TestCountCap:
+    """Every count at the default cap n = COUNT_MAX_N finishes and prints
+    the library's value."""
+
+    def test_default_cap(self):
+        assert cli.COUNT_MAX_N == 16
+
+    def test_table(self, capsys, involutions_to_cap):
+        code, out, _ = invoke(capsys, "table", "--max-n", str(cli.COUNT_MAX_N))
+        assert code == 0
+        with cli._any_size_ints():
+            rows = json.loads(out)
+        assert rows == [{"n": n, "involutions": v} for n, v in involutions_to_cap.items()]
+
+    def test_involutions(self, capsys, involutions_to_cap):
+        code, out, _ = invoke(capsys, "count", "involutions", "--n", str(cli.COUNT_MAX_N))
+        assert code == 0
+        with cli._any_size_ints():
+            assert int(out) == involutions_to_cap[cli.COUNT_MAX_N]
+
+    @pytest.mark.parametrize("args,value", [
+        (("count", "automorphisms", "--n", "16"),
+         lambda: counting.count_automorphisms(16)),
+        (("count", "preserving", "--n", "16"),
+         lambda: counting.count_preserving(16)),
+        (("count", "r-involutions", "--n", "16", "--r", "3"),
+         lambda: counting.count_r_involutions(16, 3)),
+        (("count", "signed-r-involutions", "--N-symbols", "32768", "--r", "2"),
+         lambda: counting.count_signed_r_involutions(32768, 2)),
+    ])
+    def test_count(self, capsys, args, value):
+        code, out, _ = invoke(capsys, *args)
+        assert code == 0
+        with cli._any_size_ints():
+            assert int(out) == value()
 
 
 class TestEnumerate:
@@ -152,6 +226,18 @@ class TestApply:
             "coeffs": {"i1": "1/2", "i2": "1/2", "i3": "1/2",
                        "i1*i2*i3": "1/2"},
         }
+
+    @pytest.mark.parametrize("spelling", [("--perm", "-3,1,2,4"), ("--perm=-3,1,2,4",)])
+    def test_permutation_text_starting_with_minus(self, capsys, tmp_path, spelling):
+        path = self.write_element(tmp_path, {"n": 3, "coeffs": {"": "1"}})
+        code, out, err = invoke(capsys, "apply", "--n", "3", *spelling, "--input", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"n": 3, "coeffs": {"": "1"}}
+
+    def test_missing_permutation_text(self, capsys, tmp_path):
+        path = self.write_element(tmp_path, {"n": 3, "coeffs": {}})
+        code, _, err = invoke(capsys, "apply", "--n", "3", "--input", path, "--perm")
+        assert code == 1 and "usage error" in err
 
     def test_identity(self, capsys, tmp_path):
         payload = {"n": 2, "coeffs": {"": "1/2", "i1*i2": "-3"}}

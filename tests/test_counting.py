@@ -23,8 +23,25 @@ from multicomplex import (
     cycle_types_with_parts_dividing,
     g_sequence,
 )
+from multicomplex.oracle import brute_count_r_involutions
 
 INVOLUTION_TABLE = {1: 2, 2: 6, 3: 76, 4: 32400, 5: 50305536256}
+
+
+def cycle_type_sum(N: int, r: int) -> int:
+    """Signed permutations on N symbols with pi^r = identity, summed over
+    cycle types with parts dividing r: the reference for the recurrence.
+
+    A k-cycle takes 2^k sign patterns when r/k is even and 2^(k-1) when
+    r/k is odd; the 2-power cancellation is checked exactly.
+    """
+    total = 0
+    for ctype in cycle_types_with_parts_dividing(N, r):
+        halved = sum(m for k, m in ctype.multiplicities.items() if (r // k) % 2 == 1)
+        term, rem = divmod(ctype.permutation_count() << N, 1 << halved)
+        assert rem == 0
+        total += term
+    return total
 
 
 class TestInvolutionCounts:
@@ -52,7 +69,7 @@ class TestRecursion:
         assert g_sequence(2) == 6
 
     def test_matches_closed_form(self):
-        for m in range(1, 40):
+        for m in range(1, 301):
             assert g_sequence(m) == count_signed_involutions(m)
 
     def test_component_count_identity(self):
@@ -92,7 +109,7 @@ class TestOddPrimeCounts:
         assert count_p_involutions(3, 3) == 33
 
     @pytest.mark.parametrize("p", [3, 5, 7])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", range(1, 9))
     def test_agrees_with_generic_route(self, n, p):
         assert count_p_involutions(n, p) == count_r_involutions(n, p)
 
@@ -124,6 +141,16 @@ class TestRInvolutionCounts:
         for n in (1, 2, 3, 4):
             for r in range(1, 13):
                 assert count_r_involutions(n, r) <= count_automorphisms(n)
+
+    def test_recurrence_matches_cycle_type_sum(self):
+        for N in range(1, 30):
+            for r in range(1, 25):
+                assert count_signed_r_involutions(N, r) == cycle_type_sum(N, r), (N, r)
+
+    def test_recurrence_matches_brute_force(self):
+        for n in (1, 2, 3):
+            for r in range(1, 9):
+                assert count_r_involutions(n, r) == brute_count_r_involutions(n, r)
 
     def test_validation(self):
         with pytest.raises(ValueError):
