@@ -26,7 +26,6 @@ from .special_elements import (
 )
 from .automorphism import (
     Automorphism,
-    BudgetExceeded,
     CycleType,
     SignedPermutation,
     enumerate_automorphisms,
@@ -49,7 +48,6 @@ from .counting import (
 from .gf2_preserving import (
     GF2Matrix,
     GF2Subspace,
-    GF2Vector,
     enumerate_preserving_involutions,
     enumerate_subspaces_containing_e,
     unit_images_to_automorphism,
@@ -64,6 +62,12 @@ from .oracle import (
 )
 
 __version__ = "0.1.0"
+
+
+class BudgetExceeded(ValueError):
+    """Raised by the command line when a command's estimated work is over
+    the limit it runs under; nothing is computed."""
+
 
 __all__ = [
     "DyadicRational",
@@ -103,7 +107,6 @@ __all__ = [
     "asymptotic_estimate",
     "GF2Matrix",
     "GF2Subspace",
-    "GF2Vector",
     "enumerate_preserving_involutions",
     "enumerate_subspaces_containing_e",
     "unit_images_to_automorphism",

@@ -20,21 +20,12 @@ from .idempotent import IdempotentVector, from_idempotent, to_idempotent
 from .mc_core import MulticomplexNumber
 
 __all__ = [
-    "BudgetExceeded",
     "SignedPermutation",
     "Automorphism",
     "CycleType",
     "enumerate_automorphisms",
     "enumerate_r_involutions",
-    "DEFAULT_ENUMERATION_BUDGET",
 ]
-
-# number of elements of B_8, the largest group enumerated by default
-DEFAULT_ENUMERATION_BUDGET = (1 << 8) * math.factorial(8)
-
-
-class BudgetExceeded(ValueError):
-    """Raised when an enumeration would exceed its element budget."""
 
 
 class SignedPermutation:
@@ -277,24 +268,14 @@ class Automorphism:
         return f"Automorphism(n={self.order_n}, pi={self.perm.to_text()})"
 
 
-def _check_budget(n: int, budget: int | None) -> int:
-    N = 1 << (n - 1)
-    size = (1 << N) * math.factorial(N)
-    limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-    if size > limit:
-        raise BudgetExceeded(
-            f"B_{N} has {size} elements, over the budget of {limit}"
-        )
-    return N
-
-
-def enumerate_automorphisms(n: int, budget: int | None = None) -> Iterator[Automorphism]:
-    """All automorphisms of MC(n), in deterministic order.
+def enumerate_automorphisms(n: int) -> Iterator[Automorphism]:
+    """All automorphisms of MC(n), in deterministic order, lazily: there are
+    2^N * N! of them, N = 2^(n-1).
 
     Unsigned permutations run lexicographically; for each, sign masks run in
     increasing binary order with bit j flipping the sign of the image of j+1.
     """
-    N = _check_budget(n, budget)
+    N = 1 << (n - 1)
     for base in itertools.permutations(range(1, N + 1)):
         for mask in range(1 << N):
             images = [
@@ -303,8 +284,7 @@ def enumerate_automorphisms(n: int, budget: int | None = None) -> Iterator[Autom
             yield Automorphism(n, SignedPermutation(images))
 
 
-def enumerate_r_involutions(n: int, r: int,
-                            budget: int | None = None) -> Iterator[Automorphism]:
+def enumerate_r_involutions(n: int, r: int) -> Iterator[Automorphism]:
     """All automorphisms f of MC(n) with f composed r times the identity.
 
     Filters the full enumeration by element order dividing r, which agrees
@@ -312,6 +292,6 @@ def enumerate_r_involutions(n: int, r: int,
     """
     if r < 1:
         raise ValueError("r must be positive")
-    for f in enumerate_automorphisms(n, budget):
+    for f in enumerate_automorphisms(n):
         if r % f.element_order() == 0:
             yield f

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: count, enumerate, apply, verify, table.  Exit codes: 0 on
-success, 1 on domain errors (bad n, bad permutation text, budget), 2 when a
-verification suite fails.  JSON output is deterministic: keys are sorted
-and list order is the canonical enumeration order.  The default output
+success, 1 on domain errors (bad n, bad permutation text, too much
+estimated work), 2 when a verification suite fails.  JSON output is
+deterministic: keys are sorted and list order is the canonical enumeration
+order.  The default output
 format may be set with the MULTICOMPLEX_FORMAT environment variable.
 """
 from __future__ import annotations
@@ -13,14 +14,15 @@ import contextlib
 import csv
 import io
 import json
+import math
 import os
 import sys
+from decimal import Decimal
 from typing import Sequence
 
-from . import counting
+from . import BudgetExceeded, counting
 from .automorphism import (
     Automorphism,
-    BudgetExceeded,
     enumerate_automorphisms,
     enumerate_r_involutions,
 )
@@ -38,10 +40,15 @@ __all__ = ["run", "main"]
 FORMAT_ENV = "MULTICOMPLEX_FORMAT"
 FORMATS = ("json", "csv", "markdown")
 
-# default caps on n, overridable with --budget
-COUNT_MAX_N = 16
-ENUMERATE_MAX_N = 4
-PRESERVING_MAX_N = 6
+# estimated operations a command may take unless --budget says otherwise;
+# _work gives the unit and the measurements behind the value
+DEFAULT_BUDGET = 10 ** 10
+# operations per interpreted Python step on one coefficient, symbol or row
+_STEP = 1000
+# orders past this score as this one, and groups past B_64 as B_64
+_CEILING = 64
+# divisors of r are looked for up to here
+_DIVISOR_SCAN = 1 << 20
 
 
 class _UsageError(Exception):
@@ -58,8 +65,14 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     ap = _Parser(prog="multicomplex", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    common = _Parser(add_help=False)
+    common.add_argument(
+        "--budget", type=int, default=DEFAULT_BUDGET,
+        help=f"refuse the command when its estimated work, in operations of "
+             f"about a nanosecond, exceeds this (default {DEFAULT_BUDGET:.0e})",
+    )
 
-    c = sub.add_parser("count", help="closed-form counts")
+    c = sub.add_parser("count", help="closed-form counts", parents=[common])
     c.add_argument(
         "what",
         choices=[
@@ -74,9 +87,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--r", type=int, help="composition power for r-involutions")
     c.add_argument("--N-symbols", dest="n_symbols", type=int,
                    help="symbol count for signed-r-involutions")
-    c.add_argument("--budget", type=int, help=f"cap on n (default {COUNT_MAX_N})")
 
-    e = sub.add_parser("enumerate", help="explicit element listings")
+    e = sub.add_parser("enumerate", help="explicit element listings", parents=[common])
     e.add_argument(
         "what",
         choices=["automorphisms", "involutions", "r-involutions",
@@ -87,17 +99,16 @@ def _build_parser() -> _Parser:
     e.add_argument("--kind", choices=[k.value for k in SpecialSetKind],
                    help="which special family (enumerate special)")
     e.add_argument("--format", choices=FORMATS)
-    e.add_argument("--budget", type=int,
-                   help=f"cap on n (default {ENUMERATE_MAX_N}, "
-                        f"preserving {PRESERVING_MAX_N})")
 
-    a = sub.add_parser("apply", help="apply an automorphism to an element")
+    a = sub.add_parser("apply", help="apply an automorphism to an element",
+                       parents=[common])
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--perm", required=True,
                    help='signed permutation text, e.g. "4,1,-3,2"')
     a.add_argument("--input", required=True, help="JSON file with the element")
 
-    v = sub.add_parser("verify", help="brute-force verification suites")
+    v = sub.add_parser("verify", help="brute-force verification suites",
+                       parents=[common])
     v.add_argument(
         "--suite",
         required=True,
@@ -106,9 +117,9 @@ def _build_parser() -> _Parser:
     )
     v.add_argument("--n", type=int, required=True)
     v.add_argument("--r", type=int)
-    v.add_argument("--budget", type=int, help="element budget for brute force")
 
-    t = sub.add_parser("table", help="involution counts by ring order")
+    t = sub.add_parser("table", help="involution counts by ring order",
+                       parents=[common])
     t.add_argument("--max-n", dest="max_n", type=int, default=5)
     t.add_argument("--format", choices=FORMATS)
     return ap
@@ -142,39 +153,129 @@ def _any_size_ints():
         sys.set_int_max_str_digits(old)
 
 
-def _check_cap(n: int, cap: int, override: int | None) -> None:
-    limit = override if override is not None else cap
-    if n > limit:
-        raise BudgetExceeded(f"n={n} exceeds the cap {limit}; raise --budget")
+def _need(value, flag: str):
+    if value is None:
+        raise _UsageError(f"this command needs {flag}")
+    return value
+
+
+def _limbs(bits: int) -> int:
+    return -(-bits // 64)
+
+
+def _suites(args) -> list[str]:
+    if args.suite != "all":
+        return [args.suite]
+    suites = ["special", "automorphisms", "involutions", "preserving"]
+    return suites + ["r-involutions"] if args.r is not None else suites
+
+
+def _recurrence_ops(N: int, r: int) -> int:
+    """R(N, r): limb products of count_signed_r_involutions(N, r).
+
+    Step (m, d) multiplies a(m-d), about N*b bits where b is the bit length
+    of N, by (m-1)!/(m-d)!, about d*b bits, for each divisor d <= N of r and
+    each m from d to N.  Divisors are looked for up to _DIVISOR_SCAN; past
+    it every d is counted, which overstates the work but keeps this short.
+    """
+    b = N.bit_length()
+    top = min(N, r)
+    scanned = min(top, _DIVISOR_SCAN)
+    ops = sum((N - d + 1) * _limbs(d * b)
+              for d in range(1, scanned + 1) if r % d == 0)
+    ops += (top - scanned) * (N + 1) * _limbs(top * b)
+    return ops * _limbs(N * b)
+
+
+def _work(args) -> int:
+    """Estimated work of a parsed command, in operations, from closed forms.
+
+    An operation is about a nanosecond: a 64-bit limb product of big-integer
+    arithmetic, or one numpy array element.  An interpreted Python step on a
+    coefficient, symbol or matrix row counts _STEP = 1000 operations.  With
+    N = 2^(n-1), |B_N| = 2^N N! automorphisms and P(n) = count_preserving(n):
+
+      count automorphisms, involutions    R(N, 1), R(N, 2)
+      count r-involutions                 R(N, r)
+      count signed-r-involutions          R(N, r), N = --N-symbols
+      count preserving                    n ceil(n^2/64)^2: its long divisions
+      table --max-n m                     sum of R(2^(k-1), 2), k = 1..m
+      apply                               8 n 2^n steps: two transforms
+      enumerate automorphisms, involutions, r-involutions    |B_N| N steps
+      enumerate preserving                P(n) n N steps
+      enumerate special                   2^N 8 n 2^n steps
+      verify special                      6 2^N 4^n array elements
+      verify automorphisms                |B_N| (2 4^n + 2 2^n) 4^n steps:
+                                          checks per map, a product each
+      verify involutions, r-involutions   N! r N steps + R(N, r), r = 2
+      verify preserving                   P(n) n N steps
+      verify all                          the sum of its suites
+
+    R(N, r) is _recurrence_ops.  Orders past _CEILING score as _CEILING, and
+    groups past B_64 (2.3e108 elements) as B_64, so the estimate stays quick.
+
+    Measured on a 2-core x86-64 host with CPython 3.11: R(N, r) takes 1 to
+    3.5 ns per limb product for N = 256..32768 and r = 2..720720, the step
+    formulas 0.3 to 6 us per step, verify special 7 ns per element.  The
+    default budget, 10^10, admits every count at n = 16 (R(32768, 2) =
+    5.4e8, 0.8 s) and `verify --suite automorphisms --n 3` (3.5e9, 3 to
+    9 s), and refuses `count r-involutions --n 13 --r 720720` (4.8e10,
+    80 s) and `enumerate automorphisms --n 4` (8.3e10).
+    """
+    if args.command == "table":
+        top = min(args.max_n, _CEILING)
+        return sum(_recurrence_ops(1 << (k - 1), 2) for k in range(1, top + 1))
+    if args.command == "count" and args.what == "signed-r-involutions":
+        return _recurrence_ops(_need(args.n_symbols, "--N-symbols"),
+                               _need(args.r, "--r"))
+    n = min(_need(args.n, "--n"), _CEILING)
     if n < 1:
         raise ValueError("n must be at least 1")
+    N = 1 << (n - 1)
+    G = min(N, _CEILING)
+    group = (1 << G) * math.factorial(G)
+    element = 8 * n * (1 << n) * _STEP
+    if args.command == "apply":
+        return element
+    if args.command == "count":
+        if args.what == "preserving":
+            return n * _limbs(n * n) ** 2
+        r = {"automorphisms": 1, "involutions": 2}.get(args.what)
+        return _recurrence_ops(N, r or _need(args.r, "--r"))
+    if args.command == "enumerate":
+        if args.what == "special":
+            return (1 << G) * element
+        if args.what == "preserving":
+            return counting.count_preserving(n) * n * N * _STEP
+        if args.what == "r-involutions":
+            _need(args.r, "--r")
+        return group * N * _STEP
+    work = 0
+    for suite in _suites(args):
+        if suite == "special":
+            work += 6 * (1 << G) * 4 ** n
+        elif suite == "automorphisms":
+            work += group * (2 * 4 ** n + 2 * 2 ** n) * 4 ** n * _STEP
+        elif suite == "preserving":
+            work += counting.count_preserving(n) * n * N * _STEP
+        else:
+            r = 2 if suite == "involutions" else _need(args.r, "--r")
+            work += math.factorial(G) * r * N * _STEP + _recurrence_ops(N, r)
+    return work
 
 
 def _cmd_count(args) -> int:
     what = args.what
     if what == "signed-r-involutions":
-        if args.n_symbols is None or args.r is None:
-            raise _UsageError("signed-r-involutions needs --N-symbols and --r")
-        limit = args.budget if args.budget is not None else COUNT_MAX_N
-        if args.n_symbols > (1 << (limit - 1)):
-            raise BudgetExceeded(
-                f"N={args.n_symbols} exceeds the cap {1 << (limit - 1)}"
-            )
         value = counting.count_signed_r_involutions(args.n_symbols, args.r)
+    elif what == "automorphisms":
+        value = counting.count_automorphisms(args.n)
+    elif what == "involutions":
+        value = counting.count_involutions(args.n)
+    elif what == "r-involutions":
+        value = counting.count_r_involutions(args.n, args.r)
     else:
-        if args.n is None:
-            raise _UsageError(f"count {what} needs --n")
-        _check_cap(args.n, COUNT_MAX_N, args.budget)
-        if what == "automorphisms":
-            value = counting.count_automorphisms(args.n)
-        elif what == "involutions":
-            value = counting.count_involutions(args.n)
-        elif what == "r-involutions":
-            if args.r is None:
-                raise _UsageError("count r-involutions needs --r")
-            value = counting.count_r_involutions(args.n, args.r)
-        else:
-            value = counting.count_preserving(args.n)
+        value = counting.count_preserving(args.n)
     with _any_size_ints():
         print(value)
     return 0
@@ -200,8 +301,6 @@ def _special_csv(n: int, kind: SpecialSetKind) -> str:
 def _cmd_enumerate(args) -> int:
     fmt = _resolve_format(args.format)
     what = args.what
-    cap = PRESERVING_MAX_N if what == "preserving" else ENUMERATE_MAX_N
-    _check_cap(args.n, cap, args.budget)
     n = args.n
 
     if what == "special":
@@ -217,7 +316,7 @@ def _cmd_enumerate(args) -> int:
 
     if what == "preserving":
         rows = []
-        for matrix, auto in enumerate_preserving_involutions(n, max_n=n):
+        for matrix, auto in enumerate_preserving_involutions(n):
             names = []
             srow = matrix.rows[n]
             for j in range(n):
@@ -237,8 +336,6 @@ def _cmd_enumerate(args) -> int:
     elif what == "involutions":
         autos = enumerate_r_involutions(n, 2)
     else:
-        if args.r is None:
-            raise _UsageError("enumerate r-involutions needs --r")
         autos = enumerate_r_involutions(n, args.r)
     listing = [a.perm.to_json_dict() for a in autos]
     _emit_json({"n": n, "count": len(listing), "automorphisms": listing})
@@ -248,23 +345,24 @@ def _cmd_enumerate(args) -> int:
 def _cmd_apply(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    # compare before building: the estimate counted the 2^n coefficients of
+    # --n, not those of the file's n
+    order = data.get("n") if isinstance(data, dict) else None
+    if isinstance(order, int) and order != args.n:
+        raise ValueError(f"element has order {order}, --n says {args.n}")
     eta = MulticomplexNumber.from_json_dict(data)
-    if eta.order != args.n:
-        raise ValueError(
-            f"element has order {eta.order}, --n says {args.n}"
-        )
     auto = Automorphism.from_text(args.n, args.perm)
     _emit_json(auto.apply(eta).to_json_dict())
     return 0
 
 
-def _verify_one(suite: str, n: int, r: int | None, budget: int | None) -> dict:
+def _verify_one(suite: str, n: int, r: int | None) -> dict:
     if suite == "special":
         return verify_special_sets(n).to_json_dict()
     if suite == "automorphisms":
         expected = counting.count_automorphisms(n)
         seen = 0
-        for auto in enumerate_automorphisms(n, budget):
+        for auto in enumerate_automorphisms(n):
             seen += 1
             report = verify_homomorphism(auto)
             if not report.ok:
@@ -275,13 +373,11 @@ def _verify_one(suite: str, n: int, r: int | None, budget: int | None) -> dict:
                 }
         return {"ok": seen == expected, "count": seen, "expected": expected}
     if suite == "involutions":
-        brute = brute_count_r_involutions(n, 2, budget)
+        brute = brute_count_r_involutions(n, 2)
         formula = counting.count_involutions(n)
         return {"ok": brute == formula, "brute": brute, "formula": formula}
     if suite == "r-involutions":
-        if r is None:
-            raise _UsageError("verify --suite r-involutions needs --r")
-        brute = brute_count_r_involutions(n, r, budget)
+        brute = brute_count_r_involutions(n, r)
         formula = counting.count_r_involutions(n, r)
         return {"ok": brute == formula, "brute": brute, "formula": formula}
     if suite == "preserving":
@@ -301,15 +397,9 @@ def _verify_one(suite: str, n: int, r: int | None, budget: int | None) -> dict:
 
 
 def _cmd_verify(args) -> int:
-    if args.suite == "all":
-        suites = ["special", "automorphisms", "involutions", "preserving"]
-        if args.r is not None:
-            suites.append("r-involutions")
-    else:
-        suites = [args.suite]
     results = {}
-    for suite in suites:
-        results[suite] = _verify_one(suite, args.n, args.r, args.budget)
+    for suite in _suites(args):
+        results[suite] = _verify_one(suite, args.n, args.r)
     ok = all(res.get("ok") for res in results.values())
     _emit_json({"n": args.n, "ok": ok, "suites": results})
     return 0 if ok else 2
@@ -318,7 +408,6 @@ def _cmd_verify(args) -> int:
 def _cmd_table(args) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be at least 1")
-    _check_cap(args.max_n, COUNT_MAX_N, None)
     fmt = _resolve_format(args.format)
     rows = [
         {"n": n, "involutions": counting.count_involutions(n)}
@@ -358,6 +447,12 @@ def run(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(_join_perm(argv))
+        work = max(_work(args), 1)
+        if work > args.budget:
+            raise BudgetExceeded(
+                f"estimated work {Decimal(work):.3g} operations exceeds the "
+                f"budget {Decimal(args.budget):.3g}; raise --budget to run it"
+            )
         if args.command == "count":
             return _cmd_count(args)
         if args.command == "enumerate":

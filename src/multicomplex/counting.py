@@ -96,18 +96,20 @@ def _is_odd_prime(p: int) -> bool:
 def count_p_involutions(n: int, p: int) -> int:
     """Number of automorphisms f of MC(n) with f^p = identity, p an odd prime.
 
-    Closed form: N! * sum over k of 2^((p-1)k) / (k! * p^k * (N-pk)!).
+    Closed form: the sum over k of t_k = N! * 2^((p-1)k) / (k! * p^k * (N-pk)!),
+    k being the number of p-cycles.  Each term comes from the one before by
+    t_(k+1) = t_k * 2^(p-1) * (N-pk)!/(N-pk-p)! / (p(k+1)), starting from
+    t_0 = 1: a separate route from the divisor recurrence of
+    count_signed_r_involutions.
     """
     if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     N = _require_order(n)
-    fact_n = math.factorial(N)
-    total = 0
-    for k in range(N // p + 1):
-        num = fact_n * (1 << ((p - 1) * k))
-        den = math.factorial(k) * p ** k * math.factorial(N - p * k)
-        assert num % den == 0
-        total += num // den
+    term = total = 1
+    for k in range(N // p):
+        term, rem = divmod(term * math.perm(N - p * k, p) << (p - 1), p * (k + 1))
+        assert rem == 0, "term ratio left a remainder"
+        total += term
     return total
 
 

@@ -31,11 +31,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Sequence
 
-from .automorphism import Automorphism, BudgetExceeded, SignedPermutation
+from .automorphism import Automorphism, SignedPermutation
 from .mc_core import MulticomplexNumber
 
 __all__ = [
-    "GF2Vector",
     "GF2Matrix",
     "GF2Subspace",
     "rank",
@@ -55,54 +54,6 @@ _MAX_WIDTH = 64
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
-
-
-class GF2Vector:
-    """A vector over GF(2) of fixed width, bit-packed into an int."""
-
-    __slots__ = ("width", "bits")
-
-    def __init__(self, width: int, bits: int):
-        if not 0 <= width <= _MAX_WIDTH:
-            raise ValueError(f"width must be in 0..{_MAX_WIDTH}")
-        if bits >> width:
-            raise ValueError("bits set beyond width")
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GF2Vector is immutable")
-
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.width:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def __xor__(self, other: "GF2Vector") -> "GF2Vector":
-        if self.width != other.width:
-            raise ValueError("width mismatch")
-        return GF2Vector(self.width, self.bits ^ other.bits)
-
-    def dot(self, other: "GF2Vector | int") -> int:
-        bits = other.bits if isinstance(other, GF2Vector) else other
-        return _parity(self.bits & bits)
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __int__(self) -> int:
-        return self.bits
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GF2Vector):
-            return NotImplemented
-        return (self.width, self.bits) == (other.width, other.bits)
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.bits))
-
-    def __repr__(self) -> str:
-        return f"GF2Vector({self.width}, 0b{self.bits:0{max(self.width, 1)}b})"
 
 
 class GF2Matrix:
@@ -248,25 +199,24 @@ class GF2Subspace:
         raise AttributeError("GF2Subspace is immutable")
 
     @classmethod
-    def from_vectors(cls, vectors: Iterable[int | GF2Vector], width: int) -> "GF2Subspace":
-        ints = [int(v) for v in vectors]
-        if any(v >> width for v in ints):
+    def from_vectors(cls, vectors: Iterable[int], width: int) -> "GF2Subspace":
+        vectors = list(vectors)
+        if any(v >> width for v in vectors):
             raise ValueError("vector bits beyond width")
-        basis, pivots = _rref(ints, width)
+        basis, pivots = _rref(vectors, width)
         return cls(width, basis, pivots)
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def reduce(self, vec: int | GF2Vector) -> int:
-        v = int(vec)
+    def reduce(self, vec: int) -> int:
         for row, p in zip(self.basis, self.pivots):
-            if (v >> p) & 1:
-                v ^= row
-        return v
+            if (vec >> p) & 1:
+                vec ^= row
+        return vec
 
-    def contains(self, vec: int | GF2Vector) -> bool:
+    def contains(self, vec: int) -> bool:
         return self.reduce(vec) == 0
 
     def spanned(self) -> Iterator[int]:
@@ -551,11 +501,10 @@ def _carry_vector(masks: Sequence[int]) -> int:
     return out
 
 
-def enumerate_preserving_involutions(
-    n: int, max_n: int = 8
-) -> Iterator[tuple[GF2Matrix, Automorphism]]:
+def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automorphism]]:
     """All involutions of MC(n) sending each generator to a signed canonical
-    unit, as (matrix, automorphism) pairs.
+    unit, as (matrix, automorphism) pairs, lazily: count_preserving(n) of
+    them.
 
     Emission order is canonical: kernel dimension k ascending, kernels by
     canonical basis, image tuples lexicographically, then admissible sign
@@ -564,8 +513,6 @@ def enumerate_preserving_involutions(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise BudgetExceeded(f"n={n} exceeds the generation cap {max_n}")
     seen: set[tuple[tuple[int, ...], int]] = set()
     for k in range((n + 1) // 2, n + 1):
         kernels = sorted(

@@ -11,8 +11,7 @@ number itself.
 """
 from __future__ import annotations
 
-import json
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .mc_core import DyadicRational, MulticomplexNumber, unit_product
 
@@ -121,30 +120,6 @@ class IdempotentVector:
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.components)
         return f"IdempotentVector({self.order}: [{inner}])"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.order,
-            "components": [
-                {"re": str(c.re), "im": str(c.im)} for c in self.components
-            ],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "IdempotentVector":
-        comps = [
-            ComplexComponent(DyadicRational.parse(d["re"]),
-                             DyadicRational.parse(d["im"]))
-            for d in data["components"]
-        ]
-        return cls(data["n"], comps)
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def loads(cls, text: str) -> "IdempotentVector":
-        return cls.from_json_dict(json.loads(text))
 
 
 def basis_element(index: int, order: int) -> MulticomplexNumber:

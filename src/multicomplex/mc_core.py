@@ -51,6 +51,8 @@ class DyadicRational:
     @classmethod
     def parse(cls, text: str) -> "DyadicRational":
         """Parse "p" or "p/q" where q is a positive power of two."""
+        if not isinstance(text, str):
+            raise ValueError(f"not a dyadic rational: {text!r}")
         text = text.strip()
         m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", text)
         if not m:
@@ -334,6 +336,8 @@ class MulticomplexNumber:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MulticomplexNumber":
+        if not isinstance(data, Mapping):
+            raise ValueError("an element must be a JSON object")
         if "n" not in data:
             raise ValueError("missing field 'n'")
         order = data["n"]

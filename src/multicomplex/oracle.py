@@ -8,16 +8,11 @@ so that agreement between the two routes is meaningful evidence.
 from __future__ import annotations
 
 import itertools
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .automorphism import (
-    Automorphism,
-    BudgetExceeded,
-    DEFAULT_ENUMERATION_BUDGET,
-)
+from .automorphism import Automorphism
 from .idempotent import ComplexComponent, IdempotentVector, from_idempotent, to_idempotent
 from .mc_core import DyadicRational, MulticomplexNumber, unit_product
 from .special_elements import SpecialSetKind, special_element_for_pattern
@@ -60,21 +55,17 @@ class VerificationReport:
         return f"VerificationReport({self.checks} checks, {status})"
 
 
-def _signed_power_count(N: int, r: int, budget: int | None) -> int:
+def _signed_power_count(N: int, r: int) -> int:
     """Literally compose every signed permutation on N symbols with itself
-    r times and count the identities.
+    r times and count the identities.  The walk is exhaustive by design,
+    N! unsigned permutations times r compositions, so the caller bounds N
+    and r.
 
     The unsigned part iterates sigma^t by repeated application; the sign of
     the r-fold composite at position j is the product of the sign choices
     along sigma^0(j)..sigma^(r-1)(j), evaluated for all 2^N sign vectors at
     once as a +-1 integer array.
     """
-    size = (1 << N) * math.factorial(N)
-    limit = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
-    if size > limit:
-        raise BudgetExceeded(
-            f"group of {size} signed permutations exceeds the budget {limit}"
-        )
     n_masks = 1 << N
     signs = np.ones((n_masks, N), dtype=np.int8)
     mask_values = np.arange(n_masks)
@@ -97,20 +88,20 @@ def _signed_power_count(N: int, r: int, budget: int | None) -> int:
     return total
 
 
-def brute_count_r_involutions(n: int, r: int, budget: int | None = None) -> int:
+def brute_count_r_involutions(n: int, r: int) -> int:
     """Count automorphisms f of MC(n) with f^r = identity by exhausting the
     signed-permutation group, no formulas involved."""
     if n < 1 or r < 1:
         raise ValueError("need n >= 1 and r >= 1")
-    return _signed_power_count(1 << (n - 1), r, budget)
+    return _signed_power_count(1 << (n - 1), r)
 
 
-def brute_count_signed_involutions(N: int, budget: int | None = None) -> int:
+def brute_count_signed_involutions(N: int) -> int:
     """Count signed permutations on N symbols squaring to the identity by
     exhaustive composition."""
     if N < 1:
         raise ValueError("N must be at least 1")
-    return _signed_power_count(N, 2, budget)
+    return _signed_power_count(N, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -143,9 +134,6 @@ class _CorruptedAction:
                 moved = ComplexComponent(-moved.re, moved.im)
             out[abs(v) - 1] = moved
         return from_idempotent(IdempotentVector(n, out))
-
-    def __setattr__(self, name, value):
-        object.__setattr__(self, name, value)
 
 
 def corrupted_component_action(base: Automorphism, component: int):

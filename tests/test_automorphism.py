@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from multicomplex import (
     Automorphism,
-    BudgetExceeded,
     CycleType,
     DyadicRational,
     MulticomplexNumber,
@@ -246,12 +245,6 @@ class TestEnumeration:
         first = [a.perm.to_text() for a in enumerate_automorphisms(2)]
         second = [a.perm.to_text() for a in enumerate_automorphisms(2)]
         assert first == second
-
-    def test_budget_enforced(self):
-        with pytest.raises(BudgetExceeded):
-            list(enumerate_automorphisms(5))
-        with pytest.raises(BudgetExceeded):
-            list(enumerate_automorphisms(3, budget=100))
 
     def test_involution_filter(self):
         involutions = list(enumerate_r_involutions(3, 2))

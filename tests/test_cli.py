@@ -2,11 +2,17 @@
 import csv
 import io
 import json
+import re
+import shlex
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from multicomplex import cli, counting
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -17,7 +23,7 @@ def invoke(capsys, *argv):
 
 @pytest.fixture(scope="module")
 def involutions_to_cap():
-    return {n: counting.count_involutions(n) for n in range(1, cli.COUNT_MAX_N + 1)}
+    return {n: counting.count_involutions(n) for n in range(1, 17)}
 
 
 class TestCount:
@@ -52,20 +58,20 @@ class TestCount:
         code, _, err = invoke(capsys, "count", "signed-r-involutions", "--r", "2")
         assert code == 1 and "usage error" in err
 
-    def test_cap_and_budget_override(self, capsys):
-        code, _, err = invoke(capsys, "count", "involutions", "--n", "17")
+    def test_budget_default_and_override(self, capsys):
+        code, _, err = invoke(capsys, "count", "involutions", "--n", "20")
         assert code == 1
-        assert "cap" in err
+        assert "exceeds the budget 1.00e+10" in err
         code, _, err = invoke(
             capsys, "count", "involutions", "--n", "6", "--budget", "5"
         )
         assert code == 1
-        assert "cap" in err
+        assert "exceeds the budget 5;" in err
         code, out, _ = invoke(
-            capsys, "count", "involutions", "--n", "6", "--budget", "6"
+            capsys, "count", "involutions", "--n", "6", "--budget", "1000"
         )
         assert code == 0
-        assert int(out) > 0
+        assert int(out) == counting.count_involutions(6)
 
 
 class TestLargeCounts:
@@ -97,25 +103,22 @@ class TestLargeCounts:
         assert rows == [(n, involutions_to_cap[n]) for n in range(1, 14)]
 
 
-class TestCountCap:
-    """Every count at the default cap n = COUNT_MAX_N finishes and prints
-    the library's value."""
-
-    def test_default_cap(self):
-        assert cli.COUNT_MAX_N == 16
+class TestCountsAtSixteen:
+    """Every count at n = 16 is inside the default budget, finishes and
+    prints the library's value."""
 
     def test_table(self, capsys, involutions_to_cap):
-        code, out, _ = invoke(capsys, "table", "--max-n", str(cli.COUNT_MAX_N))
+        code, out, _ = invoke(capsys, "table", "--max-n", "16")
         assert code == 0
         with cli._any_size_ints():
             rows = json.loads(out)
         assert rows == [{"n": n, "involutions": v} for n, v in involutions_to_cap.items()]
 
     def test_involutions(self, capsys, involutions_to_cap):
-        code, out, _ = invoke(capsys, "count", "involutions", "--n", str(cli.COUNT_MAX_N))
+        code, out, _ = invoke(capsys, "count", "involutions", "--n", "16")
         assert code == 0
         with cli._any_size_ints():
-            assert int(out) == involutions_to_cap[cli.COUNT_MAX_N]
+            assert int(out) == involutions_to_cap[16]
 
     @pytest.mark.parametrize("args,value", [
         (("count", "automorphisms", "--n", "16"),
@@ -197,11 +200,11 @@ class TestEnumerate:
             "1,0,0,0\n"
         )
 
-    def test_caps(self, capsys):
+    def test_refused_by_default(self, capsys):
         code, _, err = invoke(capsys, "enumerate", "automorphisms", "--n", "5")
-        assert code == 1 and "cap" in err
+        assert code == 1 and "exceeds the budget" in err
         code, _, err = invoke(capsys, "enumerate", "preserving", "--n", "7")
-        assert code == 1 and "cap" in err
+        assert code == 1 and "exceeds the budget" in err
 
     def test_deterministic_output(self, capsys):
         _, first, _ = invoke(capsys, "enumerate", "preserving", "--n", "3")
@@ -277,16 +280,23 @@ class TestApply:
         )
         assert code == 1 and "error" in err
 
-    def test_wrong_schema(self, capsys, tmp_path):
+    @pytest.mark.parametrize("payload", [
+        {"order": 3, "coeffs": {}},
+        5,
+        [3],
+        {"n": 100, "coeffs": {}},  # larger than --n: refused before it is built
+    ])
+    def test_wrong_schema(self, capsys, tmp_path, payload):
         # valid JSON that is not an element: clean domain error, no traceback
-        path = self.write_element(tmp_path, {"order": 3, "coeffs": {}})
+        path = self.write_element(tmp_path, payload)
         code, _, err = invoke(
             capsys, "apply", "--n", "3", "--perm", "1,2,3,4", "--input", path
         )
         assert code == 1 and err.startswith("error:")
 
-    def test_wrong_coeffs_shape(self, capsys, tmp_path):
-        path = self.write_element(tmp_path, {"n": 2, "coeffs": ["1"]})
+    @pytest.mark.parametrize("coeffs", [["1"], {"i1": 1}, {"i1": None}])
+    def test_wrong_coeffs_shape(self, capsys, tmp_path, coeffs):
+        path = self.write_element(tmp_path, {"n": 2, "coeffs": coeffs})
         code, _, err = invoke(
             capsys, "apply", "--n", "2", "--perm", "1,2", "--input", path
         )
@@ -415,3 +425,105 @@ class TestParsing:
     def test_unknown_choice_is_usage_error(self, capsys):
         code, _, err = invoke(capsys, "count", "widgets", "--n", "2")
         assert code == 1 and "usage error" in err
+
+
+def estimate(*argv):
+    return cli._work(cli._build_parser().parse_args(cli._join_perm(argv)))
+
+
+class TestBudget:
+    """One estimate per command, checked against one budget before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "automorphisms", "--n", "16"),
+        ("count", "involutions", "--n", "16"),
+        ("count", "r-involutions", "--n", "16", "--r", "3"),
+        ("count", "preserving", "--n", "16"),
+        ("count", "signed-r-involutions", "--N-symbols", "32768", "--r", "2"),
+        ("table", "--max-n", "16"),
+        ("verify", "--suite", "involutions", "--n", "4"),
+        ("verify", "--suite", "r-involutions", "--n", "3", "--r", "12"),
+        ("verify", "--suite", "special", "--n", "5"),
+        ("verify", "--suite", "automorphisms", "--n", "3"),
+        ("verify", "--suite", "preserving", "--n", "5"),
+        ("enumerate", "automorphisms", "--n", "3"),
+        ("enumerate", "preserving", "--n", "5"),
+        ("enumerate", "special", "--n", "4", "--kind", "one"),
+        ("apply", "--n", "5", "--perm", "1", "--input", "unread.json"),
+    ])
+    def test_admitted_by_default(self, argv):
+        assert 1 <= estimate(*argv) <= cli.DEFAULT_BUDGET
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "automorphisms", "--n", "4"),
+        ("verify", "--suite", "all", "--n", "4"),
+        ("verify", "--suite", "preserving", "--n", "7"),
+        ("enumerate", "automorphisms", "--n", "4"),
+        ("verify", "--suite", "r-involutions", "--n", "3", "--r", "1000000"),
+        ("verify", "--suite", "r-involutions", "--n", "4", "--r", "840"),
+        ("count", "r-involutions", "--n", "13", "--r", "720720"),
+        ("count", "signed-r-involutions", "--N-symbols", "4", "--r", "2", "--budget", "0"),
+        ("apply", "--n", "100", "--perm", "1", "--input", "unread.json"),
+        ("count", "involutions", "--n", "1000000"),
+        ("count", "signed-r-involutions", "--N-symbols", "1000000000000", "--r", "2"),
+        ("count", "signed-r-involutions", "--N-symbols", "10" * 20, "--r", "10" * 20),
+        ("table", "--max-n", "1000000"),
+    ])
+    def test_refused_before_any_work(self, capsys, monkeypatch, argv):
+        for name in ("_cmd_count", "_cmd_enumerate", "_cmd_apply", "_cmd_verify", "_cmd_table"):
+            monkeypatch.setattr(cli, name, lambda args: pytest.fail("dispatched"))
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: estimated work \S+ operations exceeds the budget "
+                            r"\S+; raise --budget to run it\n", err)
+
+    @pytest.mark.parametrize("argv", [
+        ("count", "involutions", "--n", "6"),
+        ("enumerate", "automorphisms", "--n", "2"),
+        ("verify", "--suite", "involutions", "--n", "3"),
+    ])
+    def test_explicit_budget_is_the_threshold(self, capsys, argv):
+        work = estimate(*argv)
+        code, out, err = invoke(capsys, *argv, "--budget", str(work - 1))
+        assert (code, out) == (1, "") and "exceeds the budget" in err
+        code, out, err = invoke(capsys, *argv, "--budget", str(work))
+        assert (code, err) == (0, "")
+        assert invoke(capsys, *argv) == (0, out, "")
+
+    def test_estimate_bounds_r(self):
+        assert estimate("count", "r-involutions", "--n", "12", "--r", "720720") > \
+            100 * estimate("count", "r-involutions", "--n", "12", "--r", "2")
+
+
+def readme_examples():
+    """(argv, stdout) for each `$ multicomplex ...` line of the README's
+    command-line section, and the files its `$ cat` lines show."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    files, examples = {}, []
+    for chunk in block.strip().split("\n\n"):
+        lines = chunk.splitlines()
+        while lines:
+            command, *rest = shlex.split(lines[0][2:])
+            end = next((i for i, line in enumerate(lines[1:], 1)
+                        if line.startswith("$ ")), len(lines))
+            shown = "".join(line + "\n" for line in lines[1:end])
+            if command == "cat":
+                files[rest[0]] = shown
+            else:
+                examples.append((rest, shown))
+            lines = lines[end:]
+    return files, examples
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    files, examples = readme_examples()
+    assert len(examples) == 6
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.FORMAT_ENV, raising=False)
+    for argv, shown in examples:
+        assert invoke(capsys, *argv) == (0, shown, ""), argv

@@ -113,6 +113,18 @@ class TestOddPrimeCounts:
     def test_agrees_with_generic_route(self, n, p):
         assert count_p_involutions(n, p) == count_r_involutions(n, p)
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_term_ratio_matches_factorial_sum(self, n, p):
+        # sum over k of N! 2^((p-1)k) / (k! p^k (N-pk)!), two factorials a term
+        N = 1 << (n - 1)
+        factorial_sum = sum(
+            math.factorial(N) * 2 ** ((p - 1) * k)
+            // (math.factorial(k) * p ** k * math.factorial(N - p * k))
+            for k in range(N // p + 1)
+        )
+        assert count_p_involutions(n, p) == factorial_sum
+
 
 class TestRInvolutionCounts:
     def test_r_one_counts_identity(self):

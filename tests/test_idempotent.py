@@ -62,12 +62,6 @@ class TestIdempotentVector:
         with pytest.raises(TypeError):
             IdempotentVector(1, [1])
 
-    def test_json_round_trip(self):
-        vec = IdempotentVector(
-            2, [ComplexComponent("1/2", -1), ComplexComponent(0, "3/4")]
-        )
-        assert IdempotentVector.loads(vec.dumps()) == vec
-
 
 class TestTransforms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

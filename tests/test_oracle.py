@@ -3,7 +3,6 @@ import pytest
 
 from multicomplex import (
     Automorphism,
-    BudgetExceeded,
     DyadicRational,
     MulticomplexNumber,
     VerificationReport,
@@ -42,12 +41,6 @@ class TestBruteCounts:
             brute_count_r_involutions(2, 0)
         with pytest.raises(ValueError):
             brute_count_signed_involutions(0)
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            brute_count_signed_involutions(4, budget=10)
-        with pytest.raises(BudgetExceeded):
-            brute_count_r_involutions(5, 2)
 
 
 class TestVerifyHomomorphism:
