@@ -45,7 +45,7 @@ FORMATS = ("json", "csv", "markdown")
 DEFAULT_BUDGET = 10 ** 10
 # operations per interpreted Python step on one coefficient, symbol or row
 _STEP = 1000
-# orders past this score as this one, and groups past B_64 as B_64
+# n and N count as at most this in the exponentials 2^n, N = 2^(n-1), 2^N, N!
 _CEILING = 64
 # divisors of r are looked for up to here
 _DIVISOR_SCAN = 1 << 20
@@ -211,53 +211,58 @@ def _work(args) -> int:
       verify preserving                   P(n) n N steps
       verify all                          the sum of its suites
 
-    R(N, r) is _recurrence_ops.  Orders past _CEILING score as _CEILING, and
-    groups past B_64 (2.3e108 elements) as B_64, so the estimate stays quick.
+    R(N, r) is _recurrence_ops.  Exponentials stop at _CEILING, which keeps
+    the estimate quick and past it above 10^24; polynomial factors use n.
 
     Measured on a 2-core x86-64 host with CPython 3.11: R(N, r) takes 1 to
-    3.5 ns per limb product for N = 256..32768 and r = 2..720720, the step
-    formulas 0.3 to 6 us per step, verify special 7 ns per element.  The
-    default budget, 10^10, admits every count at n = 16 (R(32768, 2) =
-    5.4e8, 0.8 s) and `verify --suite automorphisms --n 3` (3.5e9, 3 to
-    9 s), and refuses `count r-involutions --n 13 --r 720720` (4.8e10,
-    80 s) and `enumerate automorphisms --n 4` (8.3e10).
+    3.5 ns per limb product (N = 256..131072, r = 2..720720), count
+    preserving 2 to 5 ns per operation (n = 100..520), the step formulas
+    0.3 to 6 us per step.  The default budget, 10^10, admits calls of up to
+    19 s: count involutions --n 18 (9.7e9) and count preserving --n 520
+    (9.3e9) took 19 s, verify --suite automorphisms --n 3 (3.5e9) 8 s and
+    apply --n 16 (8.4e9) 5 s.  It refuses count r-involutions --n 13
+    --r 720720 (4.8e10, 80 s) and enumerate automorphisms --n 4 (8.3e10).
     """
     if args.command == "table":
+        if args.max_n < 1:
+            raise ValueError("--max-n must be at least 1")
         top = min(args.max_n, _CEILING)
-        return sum(_recurrence_ops(1 << (k - 1), 2) for k in range(1, top + 1))
+        rows = [_recurrence_ops(1 << (k - 1), 2) for k in range(1, top + 1)]
+        return sum(rows) + (args.max_n - top) * rows[-1]
     if args.command == "count" and args.what == "signed-r-involutions":
         return _recurrence_ops(_need(args.n_symbols, "--N-symbols"),
                                _need(args.r, "--r"))
-    n = min(_need(args.n, "--n"), _CEILING)
+    n = _need(args.n, "--n")
     if n < 1:
         raise ValueError("n must be at least 1")
-    N = 1 << (n - 1)
+    if args.command == "count" and args.what == "preserving":
+        return n * _limbs(n * n) ** 2
+    e = min(n, _CEILING)
+    N = 1 << (e - 1)
     G = min(N, _CEILING)
     group = (1 << G) * math.factorial(G)
-    element = 8 * n * (1 << n) * _STEP
+    element = 8 * n * (1 << e) * _STEP
     if args.command == "apply":
         return element
     if args.command == "count":
-        if args.what == "preserving":
-            return n * _limbs(n * n) ** 2
         r = {"automorphisms": 1, "involutions": 2}.get(args.what)
         return _recurrence_ops(N, r or _need(args.r, "--r"))
     if args.command == "enumerate":
         if args.what == "special":
             return (1 << G) * element
         if args.what == "preserving":
-            return counting.count_preserving(n) * n * N * _STEP
+            return counting.count_preserving(e) * n * N * _STEP
         if args.what == "r-involutions":
             _need(args.r, "--r")
         return group * N * _STEP
     work = 0
     for suite in _suites(args):
         if suite == "special":
-            work += 6 * (1 << G) * 4 ** n
+            work += 6 * (1 << G) * 4 ** e
         elif suite == "automorphisms":
-            work += group * (2 * 4 ** n + 2 * 2 ** n) * 4 ** n * _STEP
+            work += group * (2 * 4 ** e + 2 * 2 ** e) * 4 ** e * _STEP
         elif suite == "preserving":
-            work += counting.count_preserving(n) * n * N * _STEP
+            work += counting.count_preserving(e) * n * N * _STEP
         else:
             r = 2 if suite == "involutions" else _need(args.r, "--r")
             work += math.factorial(G) * r * N * _STEP + _recurrence_ops(N, r)
@@ -406,8 +411,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    if args.max_n < 1:
-        raise ValueError("--max-n must be at least 1")
     fmt = _resolve_format(args.format)
     rows = [
         {"n": n, "involutions": counting.count_involutions(n)}
