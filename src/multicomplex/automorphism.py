@@ -12,9 +12,9 @@ Indices are 1-based inside SignedPermutation, matching the text format
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from typing import Iterator, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 from .idempotent import IdempotentVector, from_idempotent, to_idempotent
 from .mc_core import MulticomplexNumber
@@ -28,23 +28,21 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True, slots=True)
 class SignedPermutation:
     """An element of B_N: a bijection pi of {-N..-1, 1..N} with pi(-j) = -pi(j).
 
     Only the images of 1..N are stored, as signed integers.
     """
 
-    __slots__ = ("images",)
+    images: tuple[int, ...]
 
-    def __init__(self, images: Sequence[int]):
-        imgs = tuple(images)
+    def __post_init__(self):
+        imgs = tuple(self.images)
         n = len(imgs)
         if sorted(abs(v) for v in imgs) != list(range(1, n + 1)) or 0 in imgs:
             raise ValueError(f"not a signed permutation: {imgs}")
         object.__setattr__(self, "images", imgs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SignedPermutation is immutable")
 
     @property
     def n_symbols(self) -> int:
@@ -138,31 +136,21 @@ class SignedPermutation:
             raise ValueError("field 'N' disagrees with the number of images")
         return perm
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SignedPermutation):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self) -> int:
-        return hash(self.images)
-
     def __repr__(self) -> str:
         return f"SignedPermutation({self.to_text()})"
 
 
+@dataclass(frozen=True, slots=True)
 class CycleType:
     """A multiset of cycle lengths: maps length k to its multiplicity."""
 
-    __slots__ = ("multiplicities",)
+    multiplicities: Mapping[int, int]
 
-    def __init__(self, multiplicities: Mapping[int, int]):
-        mult = {int(k): int(m) for k, m in multiplicities.items() if m}
+    def __post_init__(self):
+        mult = {int(k): int(m) for k, m in self.multiplicities.items() if m}
         if any(k < 1 or m < 0 for k, m in mult.items()):
-            raise ValueError(f"bad cycle type: {multiplicities}")
+            raise ValueError(f"bad cycle type: {self.multiplicities}")
         object.__setattr__(self, "multiplicities", mult)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycleType is immutable")
 
     def total(self) -> int:
         """Number of symbols moved or fixed: sum of k * multiplicity."""
@@ -179,12 +167,8 @@ class CycleType:
             denom *= k ** m * math.factorial(m)
         return math.factorial(n) // denom
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycleType):
-            return NotImplemented
-        return self.multiplicities == other.multiplicities
-
     def __hash__(self) -> int:
+        # the field is a dict, which does not hash
         return hash(tuple(sorted(self.multiplicities.items())))
 
     def __repr__(self) -> str:
@@ -192,22 +176,19 @@ class CycleType:
         return f"CycleType({inner})"
 
 
+@dataclass(frozen=True, slots=True)
 class Automorphism:
     """A real-linear ring automorphism of MC(n), held as its signed permutation."""
 
-    __slots__ = ("order_n", "perm")
+    order_n: int
+    perm: SignedPermutation
 
-    def __init__(self, order_n: int, perm: SignedPermutation):
-        if perm.n_symbols != 1 << (order_n - 1):
+    def __post_init__(self):
+        if self.perm.n_symbols != 1 << (self.order_n - 1):
             raise ValueError(
-                f"permutation of {perm.n_symbols} symbols does not act on "
-                f"the {1 << (order_n - 1)} components of MC({order_n})"
+                f"permutation of {self.perm.n_symbols} symbols does not act on "
+                f"the {1 << (self.order_n - 1)} components of MC({self.order_n})"
             )
-        object.__setattr__(self, "order_n", order_n)
-        object.__setattr__(self, "perm", perm)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Automorphism is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "Automorphism":
@@ -223,11 +204,13 @@ class Automorphism:
         if eta.order != self.order_n:
             raise ValueError(f"order mismatch: {eta.order} vs {self.order_n}")
         vec = to_idempotent(eta)
-        out = list(vec.components)
-        for j, comp in enumerate(vec.components):
-            v = self.perm.images[j]
-            out[abs(v) - 1] = comp if v > 0 else comp.conjugate()
-        return from_idempotent(IdempotentVector(self.order_n, out))
+        nums = vec.nums
+        out = list(nums)
+        for j, v in enumerate(self.perm.images):
+            to = 2 * abs(v) - 2
+            out[to] = nums[2 * j]
+            out[to + 1] = nums[2 * j + 1] if v > 0 else -nums[2 * j + 1]
+        return from_idempotent(IdempotentVector(self.order_n, out, vec.exp))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         if self.order_n != other.order_n:
@@ -256,14 +239,6 @@ class Automorphism:
             for k in range(1, self.order_n + 1)
         ]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Automorphism):
-            return NotImplemented
-        return self.order_n == other.order_n and self.perm == other.perm
-
-    def __hash__(self) -> int:
-        return hash((self.order_n, self.perm))
-
     def __repr__(self) -> str:
         return f"Automorphism(n={self.order_n}, pi={self.perm.to_text()})"
 
@@ -275,6 +250,8 @@ def enumerate_automorphisms(n: int) -> Iterator[Automorphism]:
     Unsigned permutations run lexicographically; for each, sign masks run in
     increasing binary order with bit j flipping the sign of the image of j+1.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     N = 1 << (n - 1)
     for base in itertools.permutations(range(1, N + 1)):
         for mask in range(1 << N):

@@ -219,9 +219,10 @@ def _work(args) -> int:
     preserving 2 to 5 ns per operation (n = 100..520), the step formulas
     0.3 to 6 us per step.  The default budget, 10^10, admits calls of up to
     19 s: count involutions --n 18 (9.7e9) and count preserving --n 520
-    (9.3e9) took 19 s, verify --suite automorphisms --n 3 (3.5e9) 8 s and
-    apply --n 16 (8.4e9) 5 s.  It refuses count r-involutions --n 13
-    --r 720720 (4.8e10, 80 s) and enumerate automorphisms --n 4 (8.3e10).
+    (9.3e9) took 19 s; verify --suite automorphisms --n 3 (3.5e9) and
+    apply --n 16 (8.4e9), run in-process through run(), took 2 s each.
+    It refuses count r-involutions --n 13 --r 720720 (4.8e10, 80 s) and
+    enumerate automorphisms --n 4 (8.3e10).
     """
     if args.command == "table":
         if args.max_n < 1:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-import mpmath
-
 from .automorphism import CycleType
 
 __all__ = [
@@ -230,6 +228,8 @@ def asymptotic_estimate(n: int, dps: int = 60) -> mpmath.mpf:
     returned is its natural log, computed at `dps` decimal digits:
     2^(n-2) * (n ln 2 - 1) + 2^(n/2) - (ln 2 + 1)/2.
     """
+    import mpmath
+
     _require_order(n)
     with mpmath.workdps(dps):
         ln2 = mpmath.ln(2)

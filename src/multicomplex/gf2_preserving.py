@@ -29,6 +29,7 @@ its output order is deterministic.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .automorphism import Automorphism, SignedPermutation
@@ -56,25 +57,23 @@ def _parity(x: int) -> int:
     return x.bit_count() & 1
 
 
+@dataclass(frozen=True, slots=True)
 class GF2Matrix:
     """A matrix over GF(2) with bit-packed rows (bit j of row i = entry i,j)."""
 
-    __slots__ = ("n_rows", "n_cols", "rows")
+    n_rows: int
+    n_cols: int
+    rows: tuple[int, ...]
 
-    def __init__(self, n_rows: int, n_cols: int, rows: Sequence[int]):
-        if not 0 <= n_cols <= _MAX_WIDTH or n_rows < 0:
+    def __post_init__(self):
+        if not 0 <= self.n_cols <= _MAX_WIDTH or self.n_rows < 0:
             raise ValueError("bad dimensions")
-        rows = tuple(rows)
-        if len(rows) != n_rows:
+        rows = tuple(self.rows)
+        if len(rows) != self.n_rows:
             raise ValueError("row count mismatch")
-        if any(r >> n_cols for r in rows):
+        if any(r >> self.n_cols for r in rows):
             raise ValueError("bits set beyond column count")
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GF2Matrix is immutable")
 
     @classmethod
     def zero(cls, n_rows: int, n_cols: int) -> "GF2Matrix":
@@ -138,18 +137,6 @@ class GF2Matrix:
             [(row >> j) & 1 for j in range(self.n_cols)] for row in self.rows
         ]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GF2Matrix):
-            return NotImplemented
-        return (
-            self.n_rows == other.n_rows
-            and self.n_cols == other.n_cols
-            and self.rows == other.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n_rows, self.n_cols, self.rows))
-
     def __repr__(self) -> str:
         body = "; ".join(f"{row:0{max(self.n_cols, 1)}b}"[::-1] for row in self.rows)
         return f"GF2Matrix({self.n_rows}x{self.n_cols}: {body})"
@@ -181,22 +168,22 @@ def rank(matrix: GF2Matrix) -> int:
     return len(_rref(matrix.rows, matrix.n_cols)[1])
 
 
+@dataclass(frozen=True, slots=True)
 class GF2Subspace:
     """A subspace of GF(2)^width, stored as a canonical RREF basis.
 
     The basis rows are sorted by pivot position (lowest set bit), and each
     pivot column contains a single 1, so equal subspaces compare equal.
+    The pivots follow from the basis.
     """
 
-    __slots__ = ("width", "basis", "pivots")
+    width: int
+    basis: tuple[int, ...]
+    pivots: tuple[int, ...]
 
-    def __init__(self, width: int, basis: Sequence[int], pivots: Sequence[int]):
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "pivots", tuple(pivots))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GF2Subspace is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "basis", tuple(self.basis))
+        object.__setattr__(self, "pivots", tuple(self.pivots))
 
     @classmethod
     def from_vectors(cls, vectors: Iterable[int], width: int) -> "GF2Subspace":
@@ -229,14 +216,6 @@ class GF2Subspace:
                 v ^= self.basis[low.bit_length() - 1]
                 m ^= low
             yield v
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GF2Subspace):
-            return NotImplemented
-        return self.width == other.width and self.basis == other.basis
-
-    def __hash__(self) -> int:
-        return hash((self.width, self.basis))
 
     def __repr__(self) -> str:
         rows = ", ".join(f"0b{r:0{max(self.width, 1)}b}" for r in self.basis)

@@ -11,9 +11,17 @@ number itself.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
-from .mc_core import DyadicRational, MulticomplexNumber, unit_product
+from .mc_core import (
+    DyadicRational,
+    MulticomplexNumber,
+    _dyadic,
+    _integer_vector,
+    _merge,
+    _split,
+    _times,
+)
 
 __all__ = [
     "ComplexComponent",
@@ -24,32 +32,18 @@ __all__ = [
     "componentwise_mul",
 ]
 
-_ZERO = DyadicRational(0)
-_ONE = DyadicRational(1)
-_HALF = DyadicRational(1, 1)
 
-
-def _coerce(value) -> DyadicRational:
-    if isinstance(value, DyadicRational):
-        return value
-    if isinstance(value, int):
-        return DyadicRational(value)
-    if isinstance(value, str):
-        return DyadicRational.parse(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a component part")
-
-
+@dataclass(frozen=True, slots=True)
 class ComplexComponent:
-    """One MC(1) component, stored as re + i1*im with dyadic parts."""
+    """One MC(1) component, re + i1*im with dyadic parts: the view of one
+    coordinate of an IdempotentVector."""
 
-    __slots__ = ("re", "im")
+    re: DyadicRational = 0
+    im: DyadicRational = 0
 
-    def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", _coerce(re))
-        object.__setattr__(self, "im", _coerce(im))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexComponent is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "re", _dyadic(self.re))
+        object.__setattr__(self, "im", _dyadic(self.im))
 
     def __add__(self, other: "ComplexComponent") -> "ComplexComponent":
         return ComplexComponent(self.re + other.re, self.im + other.im)
@@ -69,14 +63,6 @@ class ComplexComponent:
     def conjugate(self) -> "ComplexComponent":
         return ComplexComponent(self.re, -self.im)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexComponent):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
@@ -87,35 +73,43 @@ class ComplexComponent:
         return f"ComplexComponent({self.re}, {self.im})"
 
 
+@dataclass(frozen=True, slots=True)
 class IdempotentVector:
-    """An element of MC(n) in idempotent coordinates: 2^(n-1) components."""
+    """An element of MC(n) in idempotent coordinates: 2^(n-1) components,
+    component j being (nums[2j] + nums[2j+1] i1) / 2^exp.
 
-    __slots__ = ("order", "components")
+    nums may also be given as 2^(n-1) ComplexComponents, or as numbers the
+    way MulticomplexNumber takes them; it is stored as 2^n ints in lowest
+    terms.
+    """
 
-    def __init__(self, order: int, components: Iterable[ComplexComponent]):
-        if order < 1:
+    order: int
+    nums: tuple[int, ...]
+    exp: int = 0
+
+    def __post_init__(self):
+        if self.order < 1:
             raise ValueError("order must be at least 1")
-        comps = tuple(components)
-        if len(comps) != 1 << (order - 1):
+        values = tuple(self.nums)
+        if set(map(type, values)) == {ComplexComponent}:
+            values = [part for c in values for part in (c.re, c.im)]
+        nums, exp = _integer_vector(values, self.exp)
+        if len(nums) != 1 << self.order:
             raise ValueError(
-                f"expected {1 << (order - 1)} components for order {order}, "
-                f"got {len(comps)}"
+                f"expected {1 << (self.order - 1)} components ({1 << self.order} "
+                f"numbers) for order {self.order}, got {len(nums)} numbers"
             )
-        if not all(isinstance(c, ComplexComponent) for c in comps):
-            raise TypeError("components must be ComplexComponent values")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "exp", exp)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("IdempotentVector is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, IdempotentVector):
-            return NotImplemented
-        return self.order == other.order and self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.components))
+    @property
+    def components(self) -> tuple[ComplexComponent, ...]:
+        """The 2^(n-1) components as scalar views, built on demand."""
+        e = self.exp
+        return tuple(
+            ComplexComponent(DyadicRational(re, e), DyadicRational(im, e))
+            for re, im in zip(self.nums[::2], self.nums[1::2])
+        )
 
     def __repr__(self) -> str:
         inner = ", ".join(str(c) for c in self.components)
@@ -132,66 +126,26 @@ def basis_element(index: int, order: int) -> MulticomplexNumber:
         raise ValueError(f"index {index} out of range for order {order}")
     result = MulticomplexNumber.one(order)
     for t in range(order - 1):
-        pair_mask = 0b11 << t
-        sign = _ONE if not (index >> t) & 1 else -_ONE
-        factor = MulticomplexNumber.from_coeff_map(
-            order, {0: _HALF, pair_mask: sign * _HALF}
-        )
-        result = result * factor
+        factor = [0] * (1 << order)
+        factor[0] = 1
+        factor[0b11 << t] = -1 if (index >> t) & 1 else 1
+        result = result * MulticomplexNumber(order, factor, 1)
     return result
-
-
-def _split_components(coeffs: Sequence[DyadicRational], n: int) -> list[ComplexComponent]:
-    """Recursive two-way split of a dense coefficient list of width 2^n."""
-    if n == 1:
-        return [ComplexComponent(coeffs[0], coeffs[1])]
-    half = 1 << (n - 1)
-    prev_unit = 1 << (n - 2)
-    eta1 = coeffs[:half]
-    eta2 = coeffs[half:]
-    # eta2 * i_{n-1} within MC(n-1)
-    rotated: list[DyadicRational] = [_ZERO] * half
-    for m, c in enumerate(eta2):
-        if c:
-            sign, m2 = unit_product(m, prev_unit)
-            rotated[m2] = -c if sign < 0 else c
-    plus = [a - b for a, b in zip(eta1, rotated)]
-    minus = [a + b for a, b in zip(eta1, rotated)]
-    return _split_components(plus, n - 1) + _split_components(minus, n - 1)
-
-
-def _merge_components(comps: Sequence[ComplexComponent], n: int) -> list[DyadicRational]:
-    if n == 1:
-        return [comps[0].re, comps[0].im]
-    half_len = len(comps) // 2
-    a = _merge_components(comps[:half_len], n - 1)
-    b = _merge_components(comps[half_len:], n - 1)
-    eta1 = [(x + y) * _HALF for x, y in zip(a, b)]
-    diff = [(x - y) * _HALF for x, y in zip(a, b)]
-    # eta2 = diff * i_{n-1}  (since diff = -eta2 * i_{n-1} and i_{n-1}^2 = -1)
-    prev_unit = 1 << (n - 2)
-    eta2: list[DyadicRational] = [_ZERO] * len(diff)
-    for m, c in enumerate(diff):
-        if c:
-            sign, m2 = unit_product(m, prev_unit)
-            eta2[m2] = -c if sign < 0 else c
-    return eta1 + eta2
 
 
 def to_idempotent(eta: MulticomplexNumber) -> IdempotentVector:
     """Exact change of basis into idempotent coordinates."""
-    return IdempotentVector(eta.order, _split_components(eta.coeffs, eta.order))
+    return IdempotentVector(eta.order, _split(eta.nums, eta.order), eta.exp)
 
 
 def from_idempotent(vec: IdempotentVector) -> MulticomplexNumber:
     """Exact inverse of to_idempotent."""
-    return MulticomplexNumber(vec.order, _merge_components(vec.components, vec.order))
+    n = vec.order
+    return MulticomplexNumber(n, _merge(vec.nums, n), vec.exp + n - 1)
 
 
 def componentwise_mul(u: IdempotentVector, v: IdempotentVector) -> IdempotentVector:
     """The ring product transported to idempotent coordinates."""
     if u.order != v.order:
         raise ValueError(f"order mismatch: {u.order} vs {v.order}")
-    return IdempotentVector(
-        u.order, [a * b for a, b in zip(u.components, v.components)]
-    )
+    return IdempotentVector(u.order, _times(u.nums, v.nums), u.exp + v.exp)

@@ -7,12 +7,21 @@ records whether i_k appears.  Mask 0 is the real unit 1.
 
 Coefficients are dyadic rationals (denominator a power of two), which is
 exactly the coefficient domain needed by every constant arising from the
-idempotent decomposition.  All values here are immutable.
+idempotent decomposition.  An element is stored as one vector of 2^n
+integers over a shared power of two, kept in lowest terms, so equality is
+a comparison of fields.  The product goes through the idempotent transform:
+the integer kernels _split and _merge below take a vector to its 2^(n-1)
+complex components and back in O(n 2^n) steps, and components multiply
+one by one.  DyadicRational is the scalar view used for parsing, printing
+and reading single coefficients.  All values here are immutable.
 """
 from __future__ import annotations
 
 import json
 import re
+from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -24,6 +33,23 @@ __all__ = [
 ]
 
 
+def _twos(bits: int, exp: int) -> int:
+    """How many factors of two p / 2^exp can drop, for every p whose
+    bitwise OR is bits: all of exp when every p is zero."""
+    if not bits:
+        return exp
+    return min(exp, (bits & -bits).bit_length() - 1)
+
+
+def _text(num: int, exp: int) -> str:
+    """num / 2^exp as "p" or "p/q" in lowest terms."""
+    if exp and not num & 1:
+        shift = _twos(num, exp)
+        num, exp = num >> shift, exp - shift
+    return str(num) if exp == 0 else f"{num}/{1 << exp}"
+
+
+@dataclass(frozen=True, slots=True)
 class DyadicRational:
     """An exact rational p / 2^e kept in lowest terms.
 
@@ -31,22 +57,16 @@ class DyadicRational:
     numerator is odd; zero is stored as 0 / 2^0.  Arithmetic never rounds.
     """
 
-    __slots__ = ("num", "exp")
+    num: int
+    exp: int = 0
 
-    def __init__(self, num: int, exp: int = 0):
-        if exp < 0:
+    def __post_init__(self):
+        if self.exp < 0:
             raise ValueError("exponent must be non-negative")
-        if num == 0:
-            exp = 0
-        else:
-            while exp > 0 and num % 2 == 0:
-                num //= 2
-                exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DyadicRational is immutable")
+        if self.exp and not self.num & 1:
+            shift = _twos(self.num, self.exp)
+            object.__setattr__(self, "num", self.num >> shift)
+            object.__setattr__(self, "exp", self.exp - shift)
 
     @classmethod
     def parse(cls, text: str) -> "DyadicRational":
@@ -65,18 +85,10 @@ class DyadicRational:
             raise ValueError(f"denominator is not a power of two: {text!r}")
         return cls(p, q.bit_length() - 1)
 
-    @staticmethod
-    def _coerce(value) -> "DyadicRational":
-        if isinstance(value, DyadicRational):
-            return value
-        if isinstance(value, int):
-            return DyadicRational(value)
-        return NotImplemented
-
     def __add__(self, other) -> "DyadicRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (DyadicRational, int)):
             return NotImplemented
+        other = _dyadic(other)
         e = max(self.exp, other.exp)
         num = (self.num << (e - self.exp)) + (other.num << (e - other.exp))
         return DyadicRational(num, e)
@@ -84,21 +96,19 @@ class DyadicRational:
     __radd__ = __add__
 
     def __sub__(self, other) -> "DyadicRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (DyadicRational, int)):
             return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "DyadicRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (DyadicRational, int)):
             return NotImplemented
-        return other + (-self)
+        return (-self) + other
 
     def __mul__(self, other) -> "DyadicRational":
-        other = self._coerce(other)
-        if other is NotImplemented:
+        if not isinstance(other, (DyadicRational, int)):
             return NotImplemented
+        other = _dyadic(other)
         return DyadicRational(self.num * other.num, self.exp + other.exp)
 
     __rmul__ = __mul__
@@ -110,25 +120,104 @@ class DyadicRational:
         return self.num != 0
 
     def __eq__(self, other) -> bool:
-        other = self._coerce(other)
-        if other is NotImplemented:
+        # an int compares by value, so DyadicRational(3) == 3
+        if not isinstance(other, (DyadicRational, int)):
             return NotImplemented
+        other = _dyadic(other)
         return self.num == other.num and self.exp == other.exp
 
-    def __hash__(self) -> int:
-        return hash((self.num, self.exp))
-
     def __str__(self) -> str:
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/{1 << self.exp}"
+        return _text(self.num, self.exp)
 
     def __repr__(self) -> str:
         return f"DyadicRational({self})"
 
 
-_ZERO = DyadicRational(0)
-_ONE = DyadicRational(1)
+def _dyadic(value) -> DyadicRational:
+    """The one coercion to a coefficient: a DyadicRational, an int, or the
+    text of one."""
+    if isinstance(value, DyadicRational):
+        return value
+    if isinstance(value, int):
+        return DyadicRational(value)
+    if isinstance(value, str):
+        return DyadicRational.parse(value)
+    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
+
+
+def _integer_vector(values: Iterable, exp: int) -> tuple[tuple[int, ...], int]:
+    """The vector values / 2^exp as integers over one power of two, in
+    lowest terms.  The values may be ints, DyadicRationals or their text."""
+    if exp < 0:
+        raise ValueError("exponent must be non-negative")
+    nums = tuple(values)
+    if set(map(type, nums)) != {int}:
+        parts = [_dyadic(v) for v in nums]
+        top = max([d.exp for d in parts], default=0)
+        nums = tuple([d.num << (top - d.exp) for d in parts])
+        exp += top
+    shift = _twos(reduce(or_, nums, 0), exp) if exp else 0
+    if shift:
+        nums = tuple(v >> shift for v in nums)
+    return nums, exp - shift
+
+
+# ---------------------------------------------------------------------------
+# the idempotent transform on integer vectors
+#
+# At level k the split takes the halves eta1, eta2 of a width-2^k vector
+# (eta = eta1 + eta2 i_k) to eta1 - eta2 i_(k-1) and eta1 + eta2 i_(k-1),
+# its coordinates on (1 + i_(k-1) i_k)/2 and (1 - i_(k-1) i_k)/2.  Levels
+# run from n down to 2, and a final pair is one complex component (re, im).
+# With j < j' = j + 2^(k-2) in the first half and a, a', b, b' the entries
+# at j, j' and one half further, that is the butterfly
+#     (a, a', b, b') -> (a + b', a' - b, a - b', a' + b).
+# The merge undoes it up to a factor 2 per level, which the caller adds to
+# the exponent instead of dividing.
+
+
+def _split(nums, n: int) -> list[int]:
+    """Idempotent components of a width-2^n vector: component j is
+    (out[2j], out[2j+1]), on the same power of two as the input."""
+    v = list(nums)
+    width = len(v)
+    for level in range(n, 1, -1):
+        half = 1 << (level - 1)
+        quarter = half >> 1
+        for base in range(0, width, 2 * half):
+            for j in range(base, base + quarter):
+                a, a2 = v[j], v[j + quarter]
+                b, b2 = v[j + half], v[j + half + quarter]
+                v[j], v[j + quarter] = a + b2, a2 - b
+                v[j + half], v[j + half + quarter] = a - b2, a2 + b
+    return v
+
+
+def _merge(nums, n: int) -> list[int]:
+    """Inverse of _split times 2^(n-1): the caller adds n - 1 to the
+    exponent."""
+    v = list(nums)
+    width = len(v)
+    for level in range(2, n + 1):
+        half = 1 << (level - 1)
+        quarter = half >> 1
+        for base in range(0, width, 2 * half):
+            for j in range(base, base + quarter):
+                a, a2 = v[j], v[j + quarter]
+                b, b2 = v[j + half], v[j + half + quarter]
+                v[j], v[j + quarter] = a + b, a2 + b2
+                v[j + half], v[j + half + quarter] = b2 - a2, a - b
+    return v
+
+
+def _times(u, v) -> list[int]:
+    """Componentwise complex product of two split vectors."""
+    out = [0] * len(u)
+    for j in range(0, len(u), 2):
+        a, b, c, d = u[j], u[j + 1], v[j], v[j + 1]
+        out[j] = a * c - b * d
+        out[j + 1] = a * d + b * c
+    return out
 
 
 def unit_product(a: int, b: int) -> tuple[int, int]:
@@ -137,7 +226,7 @@ def unit_product(a: int, b: int) -> tuple[int, int]:
     Shared units square to -1, everything commutes, so the sign is
     (-1)^popcount(a AND b) and the resulting mask is a XOR b.
     """
-    sign = -1 if bin(a & b).count("1") % 2 else 1
+    sign = -1 if (a & b).bit_count() & 1 else 1
     return sign, a ^ b
 
 
@@ -165,43 +254,37 @@ def parse_unit_name(name: str) -> int:
     return mask
 
 
-def _coerce_coeff(value) -> DyadicRational:
-    if isinstance(value, DyadicRational):
-        return value
-    if isinstance(value, int):
-        return DyadicRational(value)
-    if isinstance(value, str):
-        return DyadicRational.parse(value)
-    raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
-
-
+@dataclass(frozen=True, slots=True)
 class MulticomplexNumber:
-    """An element of MC(n): a dense vector of 2^n dyadic coefficients.
+    """An element of MC(n): coefficient m is nums[m] / 2^exp.
 
-    Equality is coefficient-wise.  Instances are immutable and hashable.
+    nums may be given as ints, DyadicRationals or their text; it is stored
+    as 2^n ints in lowest terms (exp is zero or some entry is odd, and zero
+    has exp 0), so equality is coefficient-wise.  Instances are immutable
+    and hashable.
     """
 
-    __slots__ = ("order", "coeffs")
+    order: int
+    nums: tuple[int, ...]
+    exp: int = 0
 
-    def __init__(self, order: int, coeffs: Iterable):
-        if order < 1:
+    def __post_init__(self):
+        if self.order < 1:
             raise ValueError("order must be at least 1")
-        cs = tuple(_coerce_coeff(c) for c in coeffs)
-        if len(cs) != 1 << order:
+        nums, exp = _integer_vector(self.nums, self.exp)
+        if len(nums) != 1 << self.order:
             raise ValueError(
-                f"expected {1 << order} coefficients for order {order}, got {len(cs)}"
+                f"expected {1 << self.order} coefficients for order "
+                f"{self.order}, got {len(nums)}"
             )
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", cs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MulticomplexNumber is immutable")
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "exp", exp)
 
     # ---- constructors ----
 
     @classmethod
     def zero(cls, order: int) -> "MulticomplexNumber":
-        return cls(order, [_ZERO] * (1 << order))
+        return cls(order, (0,) * (1 << order))
 
     @classmethod
     def one(cls, order: int) -> "MulticomplexNumber":
@@ -212,9 +295,9 @@ class MulticomplexNumber:
         """The canonical basis element for the given mask."""
         if not 0 <= mask < (1 << order):
             raise ValueError(f"mask {mask} out of range for order {order}")
-        cs = [_ZERO] * (1 << order)
-        cs[mask] = _ONE
-        return cls(order, cs)
+        nums = [0] * (1 << order)
+        nums[mask] = 1
+        return cls(order, nums)
 
     @classmethod
     def generator(cls, k: int, order: int) -> "MulticomplexNumber":
@@ -225,12 +308,12 @@ class MulticomplexNumber:
 
     @classmethod
     def from_coeff_map(cls, order: int, coeffs: Mapping[int, object]) -> "MulticomplexNumber":
-        cs = [_ZERO] * (1 << order)
+        values = [0] * (1 << order)
         for mask, c in coeffs.items():
             if not 0 <= mask < (1 << order):
                 raise ValueError(f"mask {mask} out of range for order {order}")
-            cs[mask] = _coerce_coeff(c)
-        return cls(order, cs)
+            values[mask] = c
+        return cls(order, values)
 
     # ---- ring structure ----
 
@@ -240,43 +323,41 @@ class MulticomplexNumber:
                 f"order mismatch: {self.order} vs {other.order}"
             )
 
+    def _aligned(self, other: "MulticomplexNumber"):
+        """Both vectors over the larger power of two, and its exponent."""
+        self._check_order(other)
+        e = max(self.exp, other.exp)
+        s, t = e - self.exp, e - other.exp
+        return [a << s for a in self.nums], [b << t for b in other.nums], e
+
     def __add__(self, other) -> "MulticomplexNumber":
         if not isinstance(other, MulticomplexNumber):
             return NotImplemented
-        self._check_order(other)
-        return MulticomplexNumber(
-            self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        xs, ys, e = self._aligned(other)
+        return MulticomplexNumber(self.order, [a + b for a, b in zip(xs, ys)], e)
 
     def __sub__(self, other) -> "MulticomplexNumber":
         if not isinstance(other, MulticomplexNumber):
             return NotImplemented
-        self._check_order(other)
-        return MulticomplexNumber(
-            self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+        xs, ys, e = self._aligned(other)
+        return MulticomplexNumber(self.order, [a - b for a, b in zip(xs, ys)], e)
 
     def __neg__(self) -> "MulticomplexNumber":
-        return MulticomplexNumber(self.order, [-a for a in self.coeffs])
+        return MulticomplexNumber(self.order, [-a for a in self.nums], self.exp)
 
     def __mul__(self, other) -> "MulticomplexNumber":
         if not isinstance(other, MulticomplexNumber):
             return NotImplemented
         self._check_order(other)
-        out = [_ZERO] * (1 << self.order)
-        left = [(m, c) for m, c in enumerate(self.coeffs) if c]
-        right = [(m, c) for m, c in enumerate(other.coeffs) if c]
-        for ma, ca in left:
-            for mb, cb in right:
-                sign, m = unit_product(ma, mb)
-                term = ca * cb
-                out[m] = out[m] + (-term if sign < 0 else term)
-        return MulticomplexNumber(self.order, out)
+        n = self.order
+        product = _times(_split(self.nums, n), _split(other.nums, n))
+        return MulticomplexNumber(n, _merge(product, n), self.exp + other.exp + n - 1)
 
     def scale(self, factor) -> "MulticomplexNumber":
         """Multiply every coefficient by a dyadic scalar."""
-        f = _coerce_coeff(factor)
-        return MulticomplexNumber(self.order, [f * c for c in self.coeffs])
+        f = _dyadic(factor)
+        return MulticomplexNumber(self.order, [f.num * a for a in self.nums],
+                                  self.exp + f.exp)
 
     def square(self) -> "MulticomplexNumber":
         return self * self
@@ -285,38 +366,36 @@ class MulticomplexNumber:
         """Reinterpret in MC(order) for order >= self.order, padding with 0."""
         if order < self.order:
             raise ValueError(f"cannot embed order {self.order} into {order}")
-        cs = list(self.coeffs) + [_ZERO] * ((1 << order) - (1 << self.order))
-        return MulticomplexNumber(order, cs)
+        pad = (0,) * ((1 << order) - (1 << self.order))
+        return MulticomplexNumber(order, self.nums + pad, self.exp)
 
     def coeff(self, mask: int) -> DyadicRational:
-        return self.coeffs[mask]
+        return DyadicRational(self.nums[mask], self.exp)
+
+    @property
+    def coeffs(self) -> tuple[DyadicRational, ...]:
+        """All 2^n coefficients, in mask order."""
+        return tuple(DyadicRational(a, self.exp) for a in self.nums)
 
     def support(self) -> Iterator[tuple[int, DyadicRational]]:
         """Nonzero (mask, coefficient) pairs in increasing mask order."""
-        return ((m, c) for m, c in enumerate(self.coeffs) if c)
+        return ((m, DyadicRational(a, self.exp))
+                for m, a in enumerate(self.nums) if a)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MulticomplexNumber):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.order, self.coeffs))
+        return not any(self.nums)
 
     # ---- rendering and JSON ----
 
     def __str__(self) -> str:
         parts = []
-        for mask, c in self.support():
+        for mask, a in enumerate(self.nums):
+            if not a:
+                continue
             name = unit_name(mask)
+            text = _text(a, self.exp)
             if name:
-                text = f"{c}*{name}" if c not in (_ONE, -_ONE) else (
-                    name if c == _ONE else f"-{name}")
-            else:
-                text = str(c)
+                text = {"1": name, "-1": f"-{name}"}.get(text, f"{text}*{name}")
             parts.append(text)
         if not parts:
             return "0"
@@ -331,7 +410,8 @@ class MulticomplexNumber:
     def to_json_dict(self) -> dict:
         return {
             "n": self.order,
-            "coeffs": {unit_name(m): str(c) for m, c in self.support()},
+            "coeffs": {unit_name(m): _text(a, self.exp)
+                       for m, a in enumerate(self.nums) if a},
         }
 
     @classmethod

@@ -2,18 +2,20 @@
 
 The counting module trusts formulas; this module trusts nothing.  It walks
 entire signed-permutation groups element by element, literally composes
-maps, and grinds through special sets with exact scaled-integer arithmetic,
-so that agreement between the two routes is meaningful evidence.
+maps, multiplies by the direct O(4^n) convolution instead of the
+idempotent transform, and grinds through special sets with exact
+scaled-integer arithmetic, so that agreement between the two routes is
+meaningful evidence.  numpy is imported inside the functions that use it,
+so that importing the package does not load it.
 """
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterable, Sequence
-
-import numpy as np
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .automorphism import Automorphism
-from .idempotent import ComplexComponent, IdempotentVector, from_idempotent, to_idempotent
+from .idempotent import IdempotentVector, from_idempotent, to_idempotent
 from .mc_core import DyadicRational, MulticomplexNumber, unit_product
 from .special_elements import SpecialSetKind, special_element_for_pattern
 
@@ -27,19 +29,15 @@ __all__ = [
 ]
 
 
+# eq=False: reports compare and hash by identity, as the failure is a dict
+@dataclass(frozen=True, slots=True, eq=False)
 class VerificationReport:
     """Outcome of a verification run: a pass flag, a check count, and the
     first violated identity with witnesses (when any)."""
 
-    __slots__ = ("ok", "checks", "failure")
-
-    def __init__(self, ok: bool, checks: int, failure: dict | None = None):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "failure", failure)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VerificationReport is immutable")
+    ok: bool
+    checks: int
+    failure: dict | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -66,6 +64,8 @@ def _signed_power_count(N: int, r: int) -> int:
     along sigma^0(j)..sigma^(r-1)(j), evaluated for all 2^N sign vectors at
     once as a +-1 integer array.
     """
+    import numpy as np
+
     n_masks = 1 << N
     signs = np.ones((n_masks, N), dtype=np.int8)
     mask_values = np.arange(n_masks)
@@ -124,16 +124,11 @@ class _CorruptedAction:
         return self.base.order_n
 
     def apply(self, eta: MulticomplexNumber) -> MulticomplexNumber:
-        n = self.base.order_n
-        vec = to_idempotent(eta)
-        out = list(vec.components)
-        for j, comp in enumerate(vec.components):
-            v = self.base.perm.images[j]
-            moved = comp if v > 0 else comp.conjugate()
-            if j == self.component:
-                moved = ComplexComponent(-moved.re, moved.im)
-            out[abs(v) - 1] = moved
-        return from_idempotent(IdempotentVector(n, out))
+        vec = to_idempotent(self.base.apply(eta))
+        nums = list(vec.nums)
+        to = 2 * abs(self.base.perm.images[self.component]) - 2
+        nums[to] = -nums[to]
+        return from_idempotent(IdempotentVector(self.base.order_n, nums, vec.exp))
 
 
 def corrupted_component_action(base: Automorphism, component: int):
@@ -142,6 +137,20 @@ def corrupted_component_action(base: Automorphism, component: int):
     if not 0 <= component < (1 << (base.order_n - 1)):
         raise ValueError("component index out of range")
     return _CorruptedAction(base, component)
+
+
+def _convolve(x: MulticomplexNumber, y: MulticomplexNumber) -> MulticomplexNumber:
+    """x * y by the direct convolution e_a e_b = (-1)^popcount(a & b)
+    e_(a xor b), in O(4^n) integer steps: the reference the product through
+    the idempotent transform is checked against."""
+    out = [0] * len(x.nums)
+    right = [(b, cb) for b, cb in enumerate(y.nums) if cb]
+    for a, ca in enumerate(x.nums):
+        if ca:
+            for b, cb in right:
+                sign, m = unit_product(a, b)
+                out[m] += sign * ca * cb
+    return MulticomplexNumber(x.order, out, x.exp + y.exp)
 
 
 def _witness(law: str, inputs: Sequence[MulticomplexNumber],
@@ -161,6 +170,8 @@ def verify_homomorphism(f, samples: Iterable[MulticomplexNumber] | None = None
     Multiplicativity is checked on every pair of canonical units (which
     spans everything by bilinearity), along with additivity and real
     scaling; the optional samples are checked pairwise on top of that.
+    Every product is taken by the direct convolution, not by the ring's
+    transform-based product, which f.apply shares its transform with.
     f may be an Automorphism or any object with order_n and apply().
     """
     n = f.order_n
@@ -172,9 +183,9 @@ def verify_homomorphism(f, samples: Iterable[MulticomplexNumber] | None = None
 
     for a, ua in enumerate(units):
         for b, ub in enumerate(units):
-            product = ua * ub
+            product = _convolve(ua, ub)
             lhs = apply(product)
-            rhs = images[a] * images[b]
+            rhs = _convolve(images[a], images[b])
             checks += 1
             if lhs != rhs:
                 return VerificationReport(
@@ -201,8 +212,8 @@ def verify_homomorphism(f, samples: Iterable[MulticomplexNumber] | None = None
     sample_list = list(samples) if samples is not None else []
     sample_images = [apply(s) for s in sample_list]
     for (i, x), (j, y) in itertools.combinations(enumerate(sample_list), 2):
-        lhs = apply(x * y)
-        rhs = sample_images[i] * sample_images[j]
+        lhs = apply(_convolve(x, y))
+        rhs = _convolve(sample_images[i], sample_images[j])
         checks += 1
         if lhs != rhs:
             return VerificationReport(
@@ -232,50 +243,25 @@ def verify_homomorphism(f, samples: Iterable[MulticomplexNumber] | None = None
 # special-set verification
 
 
-def _scaled_coeff_row(eta: MulticomplexNumber, n: int) -> np.ndarray:
-    """Coefficient vector of eta times 2^(n-1), as int64 (must be exact)."""
-    scale_exp = n - 1
-    out = np.zeros(1 << n, dtype=np.int64)
-    for mask, coeff in eta.support():
-        if coeff.exp > scale_exp:
-            raise AssertionError(
-                f"coefficient {coeff} too fine for scale 2^{scale_exp}"
-            )
-        out[mask] = coeff.num << (scale_exp - coeff.exp)
-    return out
+def _component_basis_rows(n: int):
+    """Coefficient vectors times 2^(n-1) of the elementary idempotents
+    (part 0) and of their i1-multiples (part 1), one row per component
+    index, via the library transform."""
+    import numpy as np
+
+    rows = np.zeros((2, 1 << (n - 1), 1 << n), dtype=np.int64)
+    for index in range(rows.shape[1] * 2):
+        nums = [0] * (1 << n)
+        nums[index] = 1
+        x = from_idempotent(IdempotentVector(n, nums))
+        rows[index % 2, index // 2] = [a << (n - 1 - x.exp) for a in x.nums]
+    return rows[0], rows[1]
 
 
-def _element_from_scaled_row(row: np.ndarray, n: int) -> MulticomplexNumber:
-    coeffs = {
-        mask: DyadicRational(int(v), n - 1) for mask, v in enumerate(row) if v
-    }
-    return MulticomplexNumber.from_coeff_map(n, coeffs)
-
-
-def _component_basis_rows(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Scaled coefficient vectors of the elementary idempotents and of their
-    i1-multiples, one row per component index, via the library transform."""
-    N = 1 << (n - 1)
-    zero = ComplexComponent(DyadicRational(0), DyadicRational(0))
-    one = ComplexComponent(DyadicRational(1), DyadicRational(0))
-    imag = ComplexComponent(DyadicRational(0), DyadicRational(1))
-    re_rows = np.zeros((N, 1 << n), dtype=np.int64)
-    im_rows = np.zeros((N, 1 << n), dtype=np.int64)
-    for t in range(N):
-        comps = [zero] * N
-        comps[t] = one
-        re_rows[t] = _scaled_coeff_row(
-            from_idempotent(IdempotentVector(n, comps)), n
-        )
-        comps[t] = imag
-        im_rows[t] = _scaled_coeff_row(
-            from_idempotent(IdempotentVector(n, comps)), n
-        )
-    return re_rows, im_rows
-
-
-def _vectorized_square(C: np.ndarray, n: int) -> np.ndarray:
+def _vectorized_square(C, n: int):
     """Row-wise square of scaled coefficient vectors."""
+    import numpy as np
+
     width = 1 << n
     out = np.zeros_like(C)
     for a in range(width):
@@ -296,8 +282,11 @@ def verify_special_sets(n: int) -> VerificationReport:
     cardinality 2^(2^(n-1)), and the cross-identities (minus-one family =
     i1 times the one family; idempotents = (1 + one family)/2, elementwise
     as sets).  Works on scaled integer coefficient arrays so n = 5 stays
-    fast; spot-checks rows against the literal library enumeration.
+    fast; spot-checks rows against the literal library enumeration.  A row
+    r stands for the element MulticomplexNumber(n, r, n - 1).
     """
+    import numpy as np
+
     if not 1 <= n <= 5:
         raise ValueError("n must be between 1 and 5")
     N = 1 << (n - 1)
@@ -325,13 +314,13 @@ def verify_special_sets(n: int) -> VerificationReport:
         literal = dict(_probe_special(kind, n, probe_indices))
         for idx in probe_indices:
             checks += 1
-            expected = _scaled_coeff_row(literal[idx], n)
-            if not np.array_equal(rows[idx], expected):
+            row = MulticomplexNumber(n, rows[idx].tolist(), n - 1)
+            if row != literal[idx]:
                 return VerificationReport(False, checks, {
                     "law": "enumeration mismatch",
                     "kind": kind.value,
                     "index": idx,
-                    "lhs": str(_element_from_scaled_row(rows[idx], n)),
+                    "lhs": str(row),
                     "rhs": str(literal[idx]),
                 })
 
@@ -352,9 +341,9 @@ def verify_special_sets(n: int) -> VerificationReport:
             idx = int(bad[0])
             failure = {
                 "law": f"defining equation of {kind.value}",
-                "element": str(_element_from_scaled_row(rows[idx], n)),
+                "element": str(MulticomplexNumber(n, rows[idx].tolist(), n - 1)),
                 "square": str(
-                    _element_from_scaled_row(squares[idx] // scale, n)
+                    MulticomplexNumber(n, squares[idx].tolist(), 2 * n - 2)
                 ),
             }
             return VerificationReport(False, checks, failure)

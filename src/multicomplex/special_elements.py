@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator, Sequence
 
-from .idempotent import ComplexComponent, IdempotentVector, from_idempotent
+from .idempotent import IdempotentVector, from_idempotent
 from .mc_core import DyadicRational, MulticomplexNumber
 
 __all__ = [
@@ -32,19 +32,11 @@ class SpecialSetKind(enum.Enum):
 
 
 _COMPONENT_CHOICES = {
-    # pattern bit 0 / 1 per component, lowest index least significant
-    SpecialSetKind.SQUARE_MINUS_ONE: (
-        ComplexComponent(0, 1),
-        ComplexComponent(0, -1),
-    ),
-    SpecialSetKind.SQUARE_ONE: (
-        ComplexComponent(1, 0),
-        ComplexComponent(-1, 0),
-    ),
-    SpecialSetKind.IDEMPOTENT: (
-        ComplexComponent(0, 0),
-        ComplexComponent(1, 0),
-    ),
+    # (re, im) for pattern bit 0 / 1 per component, lowest index least
+    # significant
+    SpecialSetKind.SQUARE_MINUS_ONE: ((0, 1), (0, -1)),
+    SpecialSetKind.SQUARE_ONE: ((1, 0), (-1, 0)),
+    SpecialSetKind.IDEMPOTENT: ((0, 0), (1, 0)),
 }
 
 
@@ -58,11 +50,11 @@ def special_element_for_pattern(kind: SpecialSetKind, n: int,
     if not 0 <= pattern < (1 << count):
         raise ValueError(f"pattern {pattern} out of range for n={n}")
     zero_choice, one_choice = _COMPONENT_CHOICES[SpecialSetKind(kind)]
-    comps = [
-        one_choice if (pattern >> j) & 1 else zero_choice
-        for j in range(count)
+    nums = [
+        part for j in range(count)
+        for part in (one_choice if (pattern >> j) & 1 else zero_choice)
     ]
-    return from_idempotent(IdempotentVector(n, comps))
+    return from_idempotent(IdempotentVector(n, nums))
 
 
 def enumerate_special(kind: SpecialSetKind, n: int) -> Iterator[MulticomplexNumber]:
@@ -96,10 +88,5 @@ def idempotent_from_h(h: MulticomplexNumber) -> MulticomplexNumber:
 
 def is_plus_minus_elementary(eta: MulticomplexNumber) -> bool:
     """True iff eta is a canonical unit or its negative."""
-    seen = False
-    one = DyadicRational(1)
-    for _, c in eta.support():
-        if seen or (c != one and c != -one):
-            return False
-        seen = True
-    return seen
+    support = [a for a in eta.nums if a]
+    return eta.exp == 0 and len(support) == 1 and abs(support[0]) == 1

@@ -257,6 +257,10 @@ class TestEnumeration:
     def test_r_validation(self):
         with pytest.raises(ValueError):
             list(enumerate_r_involutions(2, 0))
+        with pytest.raises(ValueError, match="at least 1"):
+            list(enumerate_automorphisms(0))
+        with pytest.raises(ValueError, match="at least 1"):
+            list(enumerate_r_involutions(0, 2))
 
     def test_every_sixth_power_is_identity_for_r6(self):
         ident = Automorphism.identity(2)

@@ -2,8 +2,10 @@
 import csv
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -546,3 +548,40 @@ def test_readme_examples(capsys, tmp_path, monkeypatch):
     monkeypatch.delenv(cli.FORMAT_ENV, raising=False)
     for argv, shown in examples:
         assert invoke(capsys, *argv) == (0, shown, ""), argv
+
+
+def test_readme_quick_start(capsys):
+    """The Quick start block prints what its comments say, line by line."""
+    section = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    shown = []
+    for i, line in enumerate(lines):
+        if line.startswith("print("):
+            comment = line.partition("#")[2] or lines[i + 1].partition("#")[2]
+            shown.append(comment.strip())
+    assert len(shown) == 5
+    exec(compile(block, str(README), "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
+
+
+def test_count_table_apply_load_neither_numpy_nor_mpmath(tmp_path):
+    element = tmp_path / "i1.json"
+    element.write_text('{"n": 3, "coeffs": {"i1": "1"}}', encoding="utf-8")
+    script = f"""
+import contextlib, io, json, sys
+from multicomplex import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.run(["count", "involutions", "--n", "4"]),
+             cli.run(["table", "--max-n", "3"]),
+             cli.run(["apply", "--n", "3", "--perm", "4,1,-3,2",
+                      "--input", {str(element)!r}])]
+print(json.dumps([codes, [m for m in ("numpy", "mpmath") if m in sys.modules]]))
+"""
+    src = str(README.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[0, 0, 0], []]

@@ -59,8 +59,11 @@ class TestIdempotentVector:
             IdempotentVector(3, [ComplexComponent(1, 0)] * 3)
 
     def test_component_type_enforced(self):
+        # components, or numbers two per component: nothing else, no mix
         with pytest.raises(TypeError):
-            IdempotentVector(1, [1])
+            IdempotentVector(1, [0.5, 0])
+        with pytest.raises(TypeError):
+            IdempotentVector(2, [ComplexComponent(1, 0), 1])
 
 
 class TestTransforms:

@@ -5,12 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from multicomplex import (
+    Automorphism,
     DyadicRational,
     MulticomplexNumber,
+    componentwise_mul,
+    from_idempotent,
     parse_unit_name,
+    to_idempotent,
     unit_name,
     unit_product,
 )
+from multicomplex.oracle import _convolve
 
 
 def dyadics(max_num=64, max_exp=4):
@@ -253,3 +258,47 @@ class TestMulticomplexNumber:
     def test_hash_consistent_with_eq(self, x):
         y = MulticomplexNumber(2, x.coeffs)
         assert x == y and hash(x) == hash(y)
+
+
+def operands(n):
+    """Dense elements with mixed exponents, zero, and canonical units."""
+    return st.one_of(
+        elements(n, max_num=64, max_exp=6),
+        st.just(MulticomplexNumber.zero(n)),
+        st.integers(0, (1 << n) - 1).map(lambda m: MulticomplexNumber.unit(m, n)),
+    )
+
+
+class TestTransformProduct:
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(operands(n), operands(n))))
+    def test_matches_reference_convolution(self, pair):
+        x, y = pair
+        assert x * y == _convolve(x, y)
+
+    def test_builds_no_dyadic_scalars(self, monkeypatch):
+        n = 6
+        width = 1 << n
+        # dense operands over mixed powers of two, and a map that moves and
+        # conjugates components
+        x = MulticomplexNumber(n, [DyadicRational(3 * m - 95, m % 4)
+                                   for m in range(width)])
+        y = MulticomplexNumber(n, [DyadicRational(m + 1, m % 3) for m in range(width)])
+        f = Automorphism.from_text(n, ",".join(str(-j if j % 3 else j)
+                                               for j in range(width // 2, 0, -1)))
+        vx, vy = to_idempotent(x), to_idempotent(y)
+        created = []
+        original = DyadicRational.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(args)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(DyadicRational, "__init__", counting_init)
+        x * y
+        to_idempotent(x)
+        from_idempotent(vx)
+        componentwise_mul(vx, vy)
+        f.apply(x)
+        assert created == []
+        DyadicRational(1)
+        assert created == [(1,)]

@@ -55,6 +55,13 @@ class TestVerifyHomomorphism:
         for f in enumerate_automorphisms(2):
             assert verify_homomorphism(f).ok
 
+    def test_products_do_not_use_the_ring_product(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("verify_homomorphism used MulticomplexNumber.__mul__")
+
+        monkeypatch.setattr(MulticomplexNumber, "__mul__", refuse)
+        assert verify_homomorphism(Automorphism.identity(3)).ok
+
     def test_nontrivial_order_six_map_passes(self):
         f = Automorphism.from_text(3, "4,1,-3,2")
         assert verify_homomorphism(f).ok
