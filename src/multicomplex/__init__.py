@@ -54,6 +54,7 @@ from .gf2_preserving import (
 )
 from .oracle import (
     VerificationReport,
+    brute_count_preserving,
     brute_count_r_involutions,
     brute_count_signed_involutions,
     corrupted_component_action,
@@ -111,6 +112,7 @@ __all__ = [
     "enumerate_subspaces_containing_e",
     "unit_images_to_automorphism",
     "VerificationReport",
+    "brute_count_preserving",
     "brute_count_r_involutions",
     "brute_count_signed_involutions",
     "corrupted_component_action",

@@ -104,7 +104,8 @@ def _build_parser() -> _Parser:
                        parents=[common])
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--perm", required=True,
-                   help='signed permutation text, e.g. "4,1,-3,2"')
+                   help='signed permutation text, e.g. "4,1,-3,2", or @path '
+                        'to read the text from a file')
     a.add_argument("--input", required=True, help="JSON file with the element")
 
     v = sub.add_parser("verify", help="brute-force verification suites",
@@ -217,10 +218,12 @@ def _work(args) -> int:
     Measured on a 2-core x86-64 host with CPython 3.11: R(N, r) takes 1 to
     3.5 ns per limb product (N = 256..131072, r = 2..720720), count
     preserving 2 to 5 ns per operation (n = 100..520), the step formulas
-    0.3 to 6 us per step.  The default budget, 10^10, admits calls of up to
-    19 s: count involutions --n 18 (9.7e9) and count preserving --n 520
-    (9.3e9) took 19 s; verify --suite automorphisms --n 3 (3.5e9) and
-    apply --n 16 (8.4e9), run in-process through run(), took 2 s each.
+    0.05 to 6 us per step.  The default budget, 10^10, admits calls of up
+    to 19 s: count involutions --n 18 (9.7e9) and count preserving --n 520
+    (9.3e9) took 19 s; verify --suite automorphisms --n 3 (3.5e9) took
+    2 s, apply --n 16 (8.4e9) 1.3 s, enumerate preserving --n 5 (1.2e9)
+    1.1 s, verify --suite special --n 5 (4.0e8) 0.7 s and verify --suite
+    involutions --n 4 (6.5e8) 0.03 s, each run in-process through run().
     It refuses count r-involutions --n 13 --r 720720 (4.8e10, 80 s) and
     enumerate automorphisms --n 4 (8.3e10).
     """
@@ -357,7 +360,12 @@ def _cmd_apply(args) -> int:
     if isinstance(order, int) and order != args.n:
         raise ValueError(f"element has order {order}, --n says {args.n}")
     eta = MulticomplexNumber.from_json_dict(data)
-    auto = Automorphism.from_text(args.n, args.perm)
+    text = args.perm
+    if text.startswith("@"):
+        # at n = 16 the text is ~190 KB, more than one argument may hold
+        with open(text[1:], "r", encoding="utf-8") as fh:
+            text = fh.read()
+    auto = Automorphism.from_text(args.n, text)
     _emit_json(auto.apply(eta).to_json_dict())
     return 0
 

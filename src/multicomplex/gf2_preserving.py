@@ -38,15 +38,10 @@ from .mc_core import MulticomplexNumber
 __all__ = [
     "GF2Matrix",
     "GF2Subspace",
-    "rank",
-    "kernel_basis",
     "solve",
-    "solve_affine",
     "enumerate_subspaces_containing_e",
-    "enumerate_independent_tuples",
     "enumerate_preserving_involutions",
     "unit_images_to_automorphism",
-    "unit_images_matrix",
     "matrix_unit_data",
 ]
 
@@ -91,17 +86,11 @@ class GF2Matrix:
                 rows[r] |= ((col >> r) & 1) << c
         return cls(n_rows, len(columns), rows)
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
     def column(self, j: int) -> int:
         out = 0
         for i, row in enumerate(self.rows):
             out |= ((row >> j) & 1) << i
         return out
-
-    def transpose(self) -> "GF2Matrix":
-        return GF2Matrix.from_columns(list(self.rows), self.n_cols)
 
     def __add__(self, other: "GF2Matrix") -> "GF2Matrix":
         if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
@@ -164,7 +153,7 @@ def _rref(rows: Iterable[int], n_cols: int) -> tuple[list[int], list[int]]:
     return done, pivots
 
 
-def rank(matrix: GF2Matrix) -> int:
+def _rank(matrix: GF2Matrix) -> int:
     return len(_rref(matrix.rows, matrix.n_cols)[1])
 
 
@@ -222,7 +211,7 @@ class GF2Subspace:
         return f"GF2Subspace(width={self.width}, basis=[{rows}])"
 
 
-def kernel_basis(matrix: GF2Matrix) -> GF2Subspace:
+def _kernel_basis(matrix: GF2Matrix) -> GF2Subspace:
     """The null space of the matrix, as a canonical subspace of GF(2)^n_cols."""
     rows, pivots = _rref(matrix.rows, matrix.n_cols)
     pivot_set = set(pivots)
@@ -260,7 +249,7 @@ def solve(matrix: GF2Matrix, targets: GF2Matrix) -> GF2Matrix:
     return GF2Matrix(w, targets.n_cols, out)
 
 
-def solve_affine(matrix: GF2Matrix, rhs: int) -> tuple[int, GF2Subspace]:
+def _solve_affine(matrix: GF2Matrix, rhs: int) -> tuple[int, GF2Subspace]:
     """All solutions of matrix @ x = rhs: a particular solution plus the
     kernel.  Raises ValueError when the system is inconsistent."""
     if rhs >> matrix.n_rows:
@@ -276,7 +265,7 @@ def solve_affine(matrix: GF2Matrix, rhs: int) -> tuple[int, GF2Subspace]:
     for row, p in zip(rows, pivots):
         if row >> w:
             particular |= 1 << p
-    return particular, kernel_basis(matrix)
+    return particular, _kernel_basis(matrix)
 
 
 def enumerate_subspaces_containing_e(n: int, k: int) -> Iterator[GF2Subspace]:
@@ -309,7 +298,7 @@ def enumerate_subspaces_containing_e(n: int, k: int) -> Iterator[GF2Subspace]:
                 yield GF2Subspace(n, basis, pivcols)
 
 
-def enumerate_independent_tuples(space: GF2Subspace, count: int) -> Iterator[tuple[int, ...]]:
+def _independent_tuples(space: GF2Subspace, count: int) -> Iterator[tuple[int, ...]]:
     """Ordered linearly independent count-tuples of nonzero vectors from the
     subspace, in increasing lexicographic order."""
     if count < 0:
@@ -353,36 +342,42 @@ def _linear_value_form(w: int) -> tuple[int, int]:
     return coef, const
 
 
-def _action_from_unit_data(n: int, masks: Sequence[int],
-                           sign_bits: Sequence[int]) -> Automorphism:
-    """Signed permutation of the idempotent components induced by sending
-    i_(k+1) to (-1)^(sign_bits[k]) times the unit with mask masks[k].
+def _component_actions(n: int, masks: Sequence[int],
+                       sign_vectors: Iterable[int]) -> Iterator[Automorphism]:
+    """Signed permutations of the idempotent components induced by sending
+    i_(k+1) to (-1)^(bit k of s) times the unit with mask masks[k], one
+    automorphism per sign vector s, in the order given.
 
-    The component map is affine over GF(2) in the component index, so one
-    small matrix inversion covers all components.
+    The component map is affine over GF(2) in the component index t:
+    component t goes to u = inv (t xor beta), with a sign that is affine in
+    u.  The matrix inv and the table t -> inv t depend on the masks alone,
+    so one small matrix inversion covers the whole unit block; each sign
+    vector moves only beta and the sign's constant, which costs one XOR by
+    inv beta and one sign pattern.
     """
     nbits = n - 1
     lam_rows = []
-    beta = 0
+    # the parts of beta and of the sign's constant that the masks fix
+    beta_masks = 0
     for r in range(nbits):
         m_lo, m_hi = masks[r], masks[r + 1]
         coef, const = _linear_value_form(m_lo ^ m_hi)
-        carry = _parity(m_lo & m_hi)
         lam_rows.append(coef)
-        beta |= ((sign_bits[r] ^ sign_bits[r + 1] ^ carry ^ const) & 1) << r
-    lam = GF2Matrix(nbits, nbits, lam_rows)
-    inv = solve(lam, GF2Matrix.identity(nbits))
+        beta_masks |= (_parity(m_lo & m_hi) ^ const) << r
+    inv = solve(GF2Matrix(nbits, nbits, lam_rows), GF2Matrix.identity(nbits))
     scoef, sconst = _linear_value_form(masks[0] ^ 1)
-    sbase = sign_bits[0] ^ sconst ^ (0 if masks[0] & 1 else 1)
-    images = []
-    for t in range(1 << nbits):
-        x = t ^ beta
-        u = 0
-        for r in range(nbits):
-            u |= _parity(inv.rows[r] & x) << r
-        negative = sbase ^ _parity(scoef & u)
-        images.append(-(u + 1) if negative else u + 1)
-    return Automorphism(n, SignedPermutation(images))
+    sbase_masks = sconst ^ (0 if masks[0] & 1 else 1)
+    table = [inv.apply(t) for t in range(1 << nbits)]
+    table_signs = [_parity(scoef & u) for u in table]
+    for s in sign_vectors:
+        # bit r of s ^ (s >> 1) is s_r ^ s_(r+1); inv reads bits below n - 1
+        shift = inv.apply(beta_masks ^ s ^ (s >> 1))
+        negative = sbase_masks ^ (s & 1) ^ _parity(scoef & shift)
+        images = [
+            -((u ^ shift) + 1) if p ^ negative else (u ^ shift) + 1
+            for u, p in zip(table, table_signs)
+        ]
+        yield Automorphism(n, SignedPermutation(images))
 
 
 def _as_signed_unit(image, n: int) -> tuple[int, int]:
@@ -426,16 +421,17 @@ def unit_images_to_automorphism(images: Sequence, n: int) -> Automorphism:
             )
         masks.append(mask)
         sign_bits.append(0 if sign > 0 else 1)
-    if rank(GF2Matrix.from_columns(masks, n)) != n:
+    if _rank(GF2Matrix.from_columns(masks, n)) != n:
         raise ValueError(
             "image masks are linearly dependent over GF(2); the induced map "
             "collapses idempotent components and is not an automorphism"
         )
-    return _action_from_unit_data(n, masks, sign_bits)
+    signs = sum(bit << k for k, bit in enumerate(sign_bits))
+    return next(_component_actions(n, masks, [signs]))
 
 
-def unit_images_matrix(n: int, masks: Sequence[int],
-                       sign_bits: Sequence[int]) -> GF2Matrix:
+def _unit_images_matrix(n: int, masks: Sequence[int],
+                        sign_bits: Sequence[int]) -> GF2Matrix:
     """The (n+1) x (n+1) matrix of the map over GF(2): unit-exponent block,
     sign row, and affine corner 1."""
     rows = []
@@ -452,7 +448,7 @@ def unit_images_matrix(n: int, masks: Sequence[int],
 
 
 def matrix_unit_data(matrix: GF2Matrix) -> tuple[list[int], list[int]]:
-    """Inverse of unit_images_matrix: read back (masks, sign_bits)."""
+    """Inverse of _unit_images_matrix: read back (masks, sign_bits)."""
     n = matrix.n_cols - 1
     masks = [matrix.column(j) & ((1 << n) - 1) for j in range(n)]
     sign_bits = [(matrix.rows[n] >> j) & 1 for j in range(n)]
@@ -492,7 +488,6 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    seen: set[tuple[tuple[int, ...], int]] = set()
     for k in range((n + 1) // 2, n + 1):
         kernels = sorted(
             enumerate_subspaces_containing_e(n, k), key=lambda s: s.basis
@@ -512,7 +507,7 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
             basis_matrix = GF2Matrix.from_columns(mixed, n)
             inv = solve(basis_matrix, GF2Matrix.identity(n))
             comp_rows = inv.rows[k:]
-            for wtuple in enumerate_independent_tuples(kernel, n - k):
+            for wtuple in _independent_tuples(kernel, n - k):
                 cols = [0] * n
                 for idx, w in enumerate(wtuple):
                     sel = comp_rows[idx]
@@ -524,17 +519,16 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
                 masks = [z.rows[j] ^ (1 << j) for j in range(n)]
                 carry = _carry_vector(masks)
                 try:
-                    particular, sign_kernel = solve_affine(z, carry)
+                    particular, sign_kernel = _solve_affine(z, carry)
                 except ValueError:
                     raise RuntimeError(
                         "sign system inconsistent; no exact involution for "
                         f"unit block {masks}"
                     )
-                for s in sorted(particular ^ x for x in sign_kernel.spanned()):
-                    key = (tuple(masks), s)
-                    if key in seen:
-                        raise RuntimeError("duplicate involution emitted")
-                    seen.add(key)
-                    sign_bits = [(s >> j) & 1 for j in range(n)]
-                    matrix = unit_images_matrix(n, masks, sign_bits)
-                    yield matrix, _action_from_unit_data(n, masks, sign_bits)
+                signs = sorted(particular ^ x for x in sign_kernel.spanned())
+                if len(set(signs)) != len(signs):
+                    raise RuntimeError("duplicate involution emitted")
+                block = _unit_images_matrix(n, masks, [0] * n).rows[:n]
+                actions = _component_actions(n, masks, signs)
+                for s, auto in zip(signs, actions):
+                    yield GF2Matrix(n + 1, n + 1, block + (s | (1 << n),)), auto

@@ -244,10 +244,12 @@ def parse_unit_name(name: str) -> int:
         return 0
     mask = 0
     for part in name.split("*"):
-        m = re.fullmatch(r"i(\d+)", part.strip())
-        if not m or int(m.group(1)) < 1:
+        part = part.strip()
+        # isdecimal, not isdigit: int() rejects digits such as "²" that
+        # isdigit accepts
+        if part[:1] != "i" or not part[1:].isdecimal() or int(part[1:]) < 1:
             raise ValueError(f"bad unit name: {name!r}")
-        bit = 1 << (int(m.group(1)) - 1)
+        bit = 1 << (int(part[1:]) - 1)
         if mask & bit:
             raise ValueError(f"repeated unit in name: {name!r}")
         mask |= bit

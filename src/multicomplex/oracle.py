@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .automorphism import Automorphism
 from .idempotent import IdempotentVector, from_idempotent, to_idempotent
@@ -21,6 +21,7 @@ from .special_elements import SpecialSetKind, special_element_for_pattern
 
 __all__ = [
     "VerificationReport",
+    "brute_count_preserving",
     "brute_count_r_involutions",
     "brute_count_signed_involutions",
     "verify_homomorphism",
@@ -53,38 +54,48 @@ class VerificationReport:
         return f"VerificationReport({self.checks} checks, {status})"
 
 
+# elements of one chunk's sign-product array: bounds memory for any N
+_CHUNK_ELEMENTS = 1 << 20
+
+
 def _signed_power_count(N: int, r: int) -> int:
     """Literally compose every signed permutation on N symbols with itself
     r times and count the identities.  The walk is exhaustive by design,
     N! unsigned permutations times r compositions, so the caller bounds N
     and r.
 
-    The unsigned part iterates sigma^t by repeated application; the sign of
-    the r-fold composite at position j is the product of the sign choices
-    along sigma^0(j)..sigma^(r-1)(j), evaluated for all 2^N sign vectors at
-    once as a +-1 integer array.
+    Unsigned permutations are taken in fixed-size chunks and composed as
+    rows of an index array: sigma^(t+1) = sigma o sigma^t by one gather.
+    For those with sigma^r = identity, the walk sigma^0..sigma^(r-1) is
+    composed again, and the sign of the r-fold composite at position j,
+    the product of the sign choices along sigma^0(j)..sigma^(r-1)(j), is
+    evaluated for all 2^N sign vectors of the chunk at once as a +-1
+    integer array.  Memory stays within one chunk for any N and r.
     """
     import numpy as np
 
     n_masks = 1 << N
-    signs = np.ones((n_masks, N), dtype=np.int8)
-    mask_values = np.arange(n_masks)
-    for j in range(N):
-        signs[:, j] = 1 - 2 * ((mask_values >> j) & 1)
-    identity = tuple(range(N))
+    mask_values = np.arange(n_masks)[:, None]
+    signs = (1 - 2 * ((mask_values >> np.arange(N)) & 1)).astype(np.int8)
+    rows = max(1, _CHUNK_ELEMENTS // (n_masks * N))
+    identity = np.arange(N)
+    walk = itertools.permutations(range(N))
     total = 0
-    for base in itertools.permutations(range(N)):
-        powers = [identity]
-        for _ in range(r - 1):
-            prev = powers[-1]
-            powers.append(tuple(base[p] for p in prev))
-        final = tuple(base[p] for p in powers[-1])
-        if final != identity:
-            continue
-        prod = np.ones((n_masks, N), dtype=np.int32)
-        for table in powers:
-            prod *= signs[:, table]
-        total += int(np.count_nonzero((prod == 1).all(axis=1)))
+    while chunk := list(itertools.islice(walk, rows)):
+        base = np.array(chunk, dtype=np.intp)
+        # row i of base starts at flat index i * N
+        starts = np.arange(0, base.size, N)[:, None]
+        power = np.broadcast_to(identity, base.shape)
+        for _ in range(r):
+            power = base.take(starts + power)
+        base = base[(power == identity).all(axis=1)]
+        starts = starts[:len(base)]
+        prod = np.ones((n_masks, len(base), N), dtype=np.int8)
+        power = np.broadcast_to(identity, base.shape)
+        for _ in range(r):
+            prod *= signs[:, power]
+            power = base.take(starts + power)
+        total += int(np.count_nonzero((prod == 1).all(axis=2)))
     return total
 
 
@@ -102,6 +113,68 @@ def brute_count_signed_involutions(N: int) -> int:
     if N < 1:
         raise ValueError("N must be at least 1")
     return _signed_power_count(N, 2)
+
+
+def _independent(masks: Iterable[int]) -> bool:
+    """Whether the masks are linearly independent over GF(2), by elimination
+    on the highest set bit."""
+    pivots: dict[int, int] = {}
+    for v in masks:
+        while v:
+            top = v.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = v
+                break
+            v ^= pivots[top]
+        else:
+            return False
+    return True
+
+
+def _unit_image(images: Sequence[tuple[int, int]], mask: int) -> tuple[int, int]:
+    """f(unit with mask) as (sign, mask), for the map sending i_(j+1) to the
+    signed unit images[j]: the product of the images of its factors."""
+    sign, acc = 1, 0
+    for j, (s_j, m_j) in enumerate(images):
+        if (mask >> j) & 1:
+            p, acc = unit_product(acc, m_j)
+            sign *= p * s_j
+    return sign, acc
+
+
+def _brute_preserving(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(masks, sign_bits) of every involution of MC(n) sending each
+    generator i_(k+1) to (-1)^(sign_bits[k]) times the unit with mask
+    masks[k].
+
+    Walks every n-tuple of signed odd-weight units, keeps those whose masks
+    are independent over GF(2) (so that the tuple defines an automorphism)
+    and tests f(f(i_k)) = i_k for every k by multiplying units.  The test
+    alone would also reject every dependent tuple, since it makes the mask
+    matrix square to the identity; checking independence first skips most
+    of the walk.
+    """
+    odd = [m for m in range(1 << n) if m.bit_count() % 2]
+    for masks in itertools.product(odd, repeat=n):
+        if not _independent(masks):
+            continue
+        for sign_bits in itertools.product((0, 1), repeat=n):
+            images = [(-1 if s else 1, m) for s, m in zip(sign_bits, masks)]
+            if all(
+                _unit_image(images, m) == (-1 if s else 1, 1 << k)
+                for k, (s, m) in enumerate(zip(sign_bits, masks))
+            ):
+                yield masks, sign_bits
+
+
+def brute_count_preserving(n: int) -> int:
+    """Count the involutions of MC(n) that send every generator to a signed
+    canonical unit, by walking all (2^n)^n tuples of generator images; no
+    kernels, complements or carry vectors involved.  n is at most 4
+    (65,536 tuples)."""
+    if not 1 <= n <= 4:
+        raise ValueError("n must be between 1 and 4")
+    return sum(1 for _ in _brute_preserving(n))
 
 
 # ---------------------------------------------------------------------------
@@ -259,19 +332,36 @@ def _component_basis_rows(n: int):
 
 
 def _vectorized_square(C, n: int):
-    """Row-wise square of scaled coefficient vectors."""
+    """Row-wise square of scaled coefficient vectors, by the direct
+    convolution e_a e_b = (-1)^popcount(a & b) e_(a xor b).
+
+    Each unit pair costs one product and one accumulation over a whole
+    coefficient column, so the work runs on a column-contiguous copy of C
+    into one preallocated buffer.  The rows of the result are C's rows
+    squared.
+    """
     import numpy as np
 
     width = 1 << n
-    out = np.zeros_like(C)
+    cols = np.ascontiguousarray(C.T)
+    out = np.zeros_like(cols)
+    term = np.empty_like(cols[0])
+
+    def accumulate(sign: int, m: int) -> None:
+        if sign > 0:
+            np.add(out[m], term, out=out[m])
+        else:
+            np.subtract(out[m], term, out=out[m])
+
     for a in range(width):
-        ca = C[:, a]
-        sign_aa, m = unit_product(a, a)
-        out[:, m] += sign_aa * ca * ca
         for b in range(a + 1, width):
-            sign, m = unit_product(a, b)
-            out[:, m] += (2 * sign) * ca * C[:, b]
-    return out
+            np.multiply(cols[a], cols[b], out=term)
+            accumulate(*unit_product(a, b))
+    out *= 2  # each cross pair a < b stands for ab and ba
+    for a in range(width):
+        np.multiply(cols[a], cols[a], out=term)
+        accumulate(*unit_product(a, a))
+    return out.T
 
 
 def verify_special_sets(n: int) -> VerificationReport:

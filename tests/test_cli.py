@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -11,9 +12,16 @@ from pathlib import Path
 
 import pytest
 
-from multicomplex import cli, counting
+from multicomplex import cli, counting, unit_name
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def child_env():
+    """The environment for a child interpreter that imports this checkout."""
+    src = str(README.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def invoke(capsys, *argv):
@@ -237,6 +245,41 @@ class TestApply:
         code, out, err = invoke(capsys, "apply", "--n", "3", *spelling, "--input", path)
         assert (code, err) == (0, "")
         assert json.loads(out) == {"n": 3, "coeffs": {"": "1"}}
+
+    def test_permutation_text_from_file(self, capsys, tmp_path):
+        path = self.write_element(tmp_path, {"n": 3, "coeffs": {"i1": "1"}})
+        perm = tmp_path / "perm.txt"
+        perm.write_text("4,1,-3,2\n", encoding="utf-8")
+        by_text = invoke(capsys, "apply", "--n", "3", "--perm", "4,1,-3,2", "--input", path)
+        for spelling in (("--perm", f"@{perm}"), (f"--perm=@{perm}",)):
+            assert invoke(capsys, "apply", "--n", "3", *spelling, "--input", path) == by_text
+
+    def test_missing_permutation_file(self, capsys, tmp_path):
+        path = self.write_element(tmp_path, {"n": 3, "coeffs": {}})
+        code, out, err = invoke(capsys, "apply", "--n", "3",
+                                "--perm", f"@{tmp_path / 'nope.txt'}", "--input", path)
+        assert (code, out) == (1, "") and err.startswith("error:")
+
+    def test_largest_admitted_order_as_a_process(self, capsys, tmp_path):
+        # the n = 16 text is too long for one argument; @path carries it
+        n = 16
+        rng = random.Random(16)
+        images = [j if rng.random() < 0.5 else -j for j in range(1, (1 << (n - 1)) + 1)]
+        rng.shuffle(images)
+        text = ",".join(map(str, images))
+        perm = tmp_path / "perm.txt"
+        perm.write_text(text, encoding="utf-8")
+        path = self.write_element(tmp_path, {"n": n, "coeffs": {
+            unit_name(m): str(rng.randint(-3, 3)) for m in range(1 << n)}})
+        code, expected, _ = invoke(capsys, "apply", "--n", str(n), "--perm", text,
+                                   "--input", path)
+        assert code == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "multicomplex.cli", "apply", "--n", str(n),
+             "--perm", f"@{perm}", "--input", path],
+            capture_output=True, text=True, env=child_env(), timeout=300)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == expected
 
     def test_missing_permutation_text(self, capsys, tmp_path):
         path = self.write_element(tmp_path, {"n": 3, "coeffs": {}})
@@ -575,13 +618,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.run(["count", "involutions", "--n", "4"]),
              cli.run(["table", "--max-n", "3"]),
              cli.run(["apply", "--n", "3", "--perm", "4,1,-3,2",
-                      "--input", {str(element)!r}])]
+                      "--input", {str(element)!r}]),
+             cli.run(["enumerate", "preserving", "--n", "3"]),
+             cli.run(["verify", "--suite", "preserving", "--n", "3"])]
 print(json.dumps([codes, [m for m in ("numpy", "mpmath") if m in sys.modules]]))
 """
-    src = str(README.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0, 0], []]
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], []]

@@ -7,22 +7,34 @@ from multicomplex import (
     GF2Matrix,
     GF2Subspace,
     MulticomplexNumber,
+    SignedPermutation,
     count_independent_image_tuples,
     count_preserving,
     count_subspaces_containing_all_ones,
     enumerate_preserving_involutions,
     enumerate_subspaces_containing_e,
+    gf2_preserving,
     unit_images_to_automorphism,
 )
 from multicomplex.gf2_preserving import (
-    enumerate_independent_tuples,
-    kernel_basis,
+    _independent_tuples,
+    _kernel_basis,
+    _linear_value_form,
+    _parity,
+    _rank,
+    _solve_affine,
+    _unit_images_matrix,
     matrix_unit_data,
-    rank,
     solve,
-    solve_affine,
-    unit_images_matrix,
 )
+
+
+def entry(m, i, j):
+    return (m.rows[i] >> j) & 1
+
+
+def transpose(m):
+    return GF2Matrix.from_columns(list(m.rows), m.n_cols)
 
 
 def small_matrices(n_rows=4, n_cols=4):
@@ -54,13 +66,12 @@ def invertible_matrices(draw, n=4):
 
 
 class TestGF2Matrix:
-    def test_entry_column_transpose(self):
+    def test_column_and_transpose_by_columns(self):
         m = GF2Matrix(2, 3, [0b101, 0b110])
-        assert m.entry(0, 2) == 1
-        assert m.entry(1, 0) == 0
         assert m.column(1) == 0b10
-        assert m.transpose().rows == (0b01, 0b10, 0b11)
-        assert m.transpose().transpose() == m
+        assert m.column(2) == 0b11
+        assert transpose(m).rows == (0b01, 0b10, 0b11)
+        assert transpose(transpose(m)) == m
 
     def test_from_columns(self):
         m = GF2Matrix.from_columns([0b11, 0b01], 2)
@@ -100,8 +111,8 @@ class TestGF2Matrix:
             for j in range(b.n_cols):
                 s = 0
                 for k in range(a.n_cols):
-                    s ^= a.entry(i, k) & b.entry(k, j)
-                assert prod.entry(i, j) == s
+                    s ^= entry(a, i, k) & entry(b, k, j)
+                assert entry(prod, i, j) == s
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -116,18 +127,18 @@ class TestGF2Matrix:
 
 class TestRankKernelSolve:
     def test_rank_basics(self):
-        assert rank(GF2Matrix.identity(5)) == 5
-        assert rank(GF2Matrix.zero(3, 3)) == 0
-        assert rank(GF2Matrix(2, 2, [0b11, 0b11])) == 1
+        assert _rank(GF2Matrix.identity(5)) == 5
+        assert _rank(GF2Matrix.zero(3, 3)) == 0
+        assert _rank(GF2Matrix(2, 2, [0b11, 0b11])) == 1
 
     @given(small_matrices())
     def test_rank_equals_transpose_rank(self, m):
-        assert rank(m) == rank(m.transpose())
+        assert _rank(m) == _rank(transpose(m))
 
     @given(small_matrices())
     def test_kernel_annihilates(self, m):
-        ker = kernel_basis(m)
-        assert ker.dimension == m.n_cols - rank(m)
+        ker = _kernel_basis(m)
+        assert ker.dimension == m.n_cols - _rank(m)
         for v in ker.spanned():
             assert m.apply(v) == 0
 
@@ -155,7 +166,7 @@ class TestRankKernelSolve:
     @given(small_matrices(4, 4), st.integers(0, 15))
     def test_affine_solutions_exact(self, m, x):
         rhs = m.apply(x)
-        particular, ker = solve_affine(m, rhs)
+        particular, ker = _solve_affine(m, rhs)
         assert m.apply(particular) == rhs
         solutions = {particular ^ v for v in ker.spanned()}
         brute = {
@@ -166,11 +177,11 @@ class TestRankKernelSolve:
     def test_affine_detects_inconsistency(self):
         m = GF2Matrix(2, 2, [0b01, 0b01])
         with pytest.raises(ValueError):
-            solve_affine(m, 0b10)
+            _solve_affine(m, 0b10)
 
     def test_affine_validates_rhs_width(self):
         with pytest.raises(ValueError):
-            solve_affine(GF2Matrix.identity(2), 0b100)
+            _solve_affine(GF2Matrix.identity(2), 0b100)
 
 
 class TestSubspace:
@@ -228,7 +239,7 @@ class TestSubspaceEnumeration:
             for k in range((n + 1) // 2, n + 1):
                 expected = count_independent_image_tuples(k, n)
                 for kernel in enumerate_subspaces_containing_e(n, k):
-                    tuples = list(enumerate_independent_tuples(kernel, n - k))
+                    tuples = list(_independent_tuples(kernel, n - k))
                     assert len(tuples) == expected
                     assert tuples == sorted(tuples)
                     for t in tuples:
@@ -238,7 +249,7 @@ class TestSubspaceEnumeration:
 
     def test_zero_count_tuple(self):
         s = GF2Subspace.from_vectors([0b11], 2)
-        assert list(enumerate_independent_tuples(s, 0)) == [()]
+        assert list(_independent_tuples(s, 0)) == [()]
 
 
 def signed_unit(sign_bit, mask, n):
@@ -309,11 +320,11 @@ class TestUnitImageConstruction:
     def test_matrix_round_trip(self):
         masks = [0b001, 0b111, 0b010]
         signs = [1, 0, 1]
-        m = unit_images_matrix(3, masks, signs)
+        m = _unit_images_matrix(3, masks, signs)
         assert matrix_unit_data(m) == (masks, signs)
         assert m.n_rows == m.n_cols == 4
         # affine corner and empty top-right column
-        assert m.entry(3, 3) == 1
+        assert entry(m, 3, 3) == 1
         assert m.column(3) == 1 << 3
 
 
@@ -400,7 +411,7 @@ class TestPreservingEnumeration:
             for masks, copies in by_block.items():
                 block = GF2Matrix.from_columns(masks, n)
                 y = block + GF2Matrix.identity(n)
-                k = n - rank(y)
+                k = n - _rank(y)
                 assert copies == 1 << k
                 assert 2 * k >= n
 
@@ -453,3 +464,74 @@ class TestPreservingEnumeration:
         a = [(m.rows, auto.perm.images) for m, auto in preserving(3)]
         b = [(m.rows, auto.perm.images) for m, auto in preserving(3)]
         assert a == b
+
+
+def per_map_action(n, masks, sign_bits):
+    """The component action built map by map, one GF(2) inversion per sign
+    vector: the reference for the per-block builder."""
+    nbits = n - 1
+    lam_rows = []
+    beta = 0
+    for r in range(nbits):
+        m_lo, m_hi = masks[r], masks[r + 1]
+        coef, const = _linear_value_form(m_lo ^ m_hi)
+        carry = _parity(m_lo & m_hi)
+        lam_rows.append(coef)
+        beta |= ((sign_bits[r] ^ sign_bits[r + 1] ^ carry ^ const) & 1) << r
+    inv = solve(GF2Matrix(nbits, nbits, lam_rows), GF2Matrix.identity(nbits))
+    scoef, sconst = _linear_value_form(masks[0] ^ 1)
+    sbase = sign_bits[0] ^ sconst ^ (0 if masks[0] & 1 else 1)
+    images = []
+    for t in range(1 << nbits):
+        x = t ^ beta
+        u = 0
+        for r in range(nbits):
+            u |= _parity(inv.rows[r] & x) << r
+        negative = sbase ^ _parity(scoef & u)
+        images.append(-(u + 1) if negative else u + 1)
+    return Automorphism(n, SignedPermutation(images))
+
+
+@st.composite
+def independent_unit_images(draw):
+    n = draw(st.integers(1, 5))
+    odd = [m for m in range(1 << n) if m.bit_count() % 2]
+    masks = draw(st.lists(st.sampled_from(odd), min_size=n, max_size=n)
+                 .filter(lambda ms: _rank(GF2Matrix.from_columns(ms, n)) == n))
+    signs = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return n, masks, signs
+
+
+class TestPerBlockActions:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_generator_matches_per_map_reference(self, n):
+        emitted = 0
+        for matrix, auto in enumerate_preserving_involutions(n):
+            masks, signs = matrix_unit_data(matrix)
+            assert matrix == _unit_images_matrix(n, masks, signs)
+            assert auto == per_map_action(n, masks, signs)
+            emitted += 1
+        assert emitted == count_preserving(n)
+
+    @given(independent_unit_images())
+    def test_single_map_matches_per_map_reference(self, data):
+        n, masks, signs = data
+        images = [((-1) ** s, m) for s, m in zip(signs, masks)]
+        assert unit_images_to_automorphism(images, n) == per_map_action(n, masks, signs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_inversion_per_kernel_and_per_unit_block(self, n, monkeypatch):
+        calls = []
+
+        def counted(matrix, targets):
+            calls.append(matrix.n_cols)
+            return solve(matrix, targets)
+
+        monkeypatch.setattr(gf2_preserving, "solve", counted)
+        assert sum(1 for _ in enumerate_preserving_involutions(n)) == count_preserving(n)
+        expected = sum(
+            count_subspaces_containing_all_ones(k, n)
+            * (1 + count_independent_image_tuples(k, n))
+            for k in range((n + 1) // 2, n + 1)
+        )
+        assert len(calls) == expected

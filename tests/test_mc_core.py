@@ -1,4 +1,5 @@
 """Tests for dyadic rationals, unit masks, and ring arithmetic."""
+import re
 from fractions import Fraction
 
 import pytest
@@ -147,6 +148,36 @@ class TestUnitNames:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_unit_name(bad)
+
+    @given(st.lists(st.text(alphabet="i*j 01239\u0663\u00b2\u2167_\t", max_size=6),
+                    min_size=1, max_size=4).map("*".join))
+    def test_matches_regex_parser(self, name):
+        assert outcome(parse_unit_name, name) == outcome(regex_parse_unit_name, name)
+
+
+def regex_parse_unit_name(name):
+    """parse_unit_name as it was written with a regular expression: the
+    reference for what the parser accepts and how it fails."""
+    name = name.strip()
+    if not name:
+        return 0
+    mask = 0
+    for part in name.split("*"):
+        m = re.fullmatch(r"i(\d+)", part.strip())
+        if not m or int(m.group(1)) < 1:
+            raise ValueError(f"bad unit name: {name!r}")
+        bit = 1 << (int(m.group(1)) - 1)
+        if mask & bit:
+            raise ValueError(f"repeated unit in name: {name!r}")
+        mask |= bit
+    return mask
+
+
+def outcome(parse, name):
+    try:
+        return parse(name)
+    except ValueError as exc:
+        return str(exc)
 
 
 def elements(n, max_num=8, max_exp=2):
