@@ -26,7 +26,7 @@ from .automorphism import (
     enumerate_automorphisms,
     enumerate_r_involutions,
 )
-from .gf2_preserving import enumerate_preserving_involutions
+from .gf2_preserving import enumerate_preserving_involutions, matrix_unit_data
 from .mc_core import MulticomplexNumber, unit_name
 from .oracle import (
     brute_count_r_involutions,
@@ -222,7 +222,7 @@ def _work(args) -> int:
     to 19 s: count involutions --n 18 (9.7e9) and count preserving --n 520
     (9.3e9) took 19 s; verify --suite automorphisms --n 3 (3.5e9) took
     2 s, apply --n 16 (8.4e9) 1.3 s, enumerate preserving --n 5 (1.2e9)
-    1.1 s, verify --suite special --n 5 (4.0e8) 0.7 s and verify --suite
+    1.4 s, verify --suite special --n 5 (4.0e8) 1.0 s and verify --suite
     involutions --n 4 (6.5e8) 0.03 s, each run in-process through run().
     It refuses count r-involutions --n 13 --r 720720 (4.8e10, 80 s) and
     enumerate automorphisms --n 4 (8.3e10).
@@ -326,12 +326,9 @@ def _cmd_enumerate(args) -> int:
     if what == "preserving":
         rows = []
         for matrix, auto in enumerate_preserving_involutions(n):
-            names = []
-            srow = matrix.rows[n]
-            for j in range(n):
-                mask = matrix.column(j) & ((1 << n) - 1)
-                prefix = "-" if (srow >> j) & 1 else ""
-                names.append(prefix + unit_name(mask))
+            masks, sign_bits = matrix_unit_data(matrix)
+            names = [("-" if s else "") + unit_name(m)
+                     for m, s in zip(masks, sign_bits)]
             rows.append({
                 "matrix": matrix.to_lists(),
                 "unit_images": names,
@@ -353,10 +350,15 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_apply(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.input}: JSON nested too deeply") from None
     # compare before building: the estimate counted the 2^n coefficients of
     # --n, not those of the file's n
     order = data.get("n") if isinstance(data, dict) else None
+    if isinstance(order, bool):
+        raise ValueError("field 'n' must be an integer")
     if isinstance(order, int) and order != args.n:
         raise ValueError(f"element has order {order}, --n says {args.n}")
     eta = MulticomplexNumber.from_json_dict(data)

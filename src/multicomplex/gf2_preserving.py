@@ -21,10 +21,13 @@ and the homogeneous and exact solution sets differ while having the same
 size.  Everything emitted here satisfies the exact condition: every yielded
 map composes with itself to the identity on the nose.
 
-The generator walks kernels (RREF-canonical subspaces containing the
-all-ones vector), a fixed complement per kernel, ordered independent image
-tuples inside the kernel, and finally the 2^k admissible sign vectors, so
-its output order is deterministic.
+The generator walks kernels K (RREF-canonical subspaces containing the
+all-ones vector), a fixed complement per kernel, and ordered independent
+image tuples w inside K.  Y^T sends the i-th complement vector to w_i and K
+to 0, so ker(Y^T) = K: the 2^k admissible sign vectors are the complement
+combination p with Y^T p = c, found by one GF(2) solve, plus each vector
+of K.  They are emitted in increasing order, so the output order is
+deterministic.
 """
 from __future__ import annotations
 
@@ -33,7 +36,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .automorphism import Automorphism, SignedPermutation
-from .mc_core import MulticomplexNumber
 
 __all__ = [
     "GF2Matrix",
@@ -71,10 +73,6 @@ class GF2Matrix:
         object.__setattr__(self, "rows", rows)
 
     @classmethod
-    def zero(cls, n_rows: int, n_cols: int) -> "GF2Matrix":
-        return cls(n_rows, n_cols, [0] * n_rows)
-
-    @classmethod
     def identity(cls, n: int) -> "GF2Matrix":
         return cls(n, n, [1 << i for i in range(n)])
 
@@ -91,14 +89,6 @@ class GF2Matrix:
         for i, row in enumerate(self.rows):
             out |= ((row >> j) & 1) << i
         return out
-
-    def __add__(self, other: "GF2Matrix") -> "GF2Matrix":
-        if (self.n_rows, self.n_cols) != (other.n_rows, other.n_cols):
-            raise ValueError("shape mismatch")
-        return GF2Matrix(
-            self.n_rows, self.n_cols,
-            [a ^ b for a, b in zip(self.rows, other.rows)],
-        )
 
     def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
         if self.n_cols != other.n_rows:
@@ -211,22 +201,6 @@ class GF2Subspace:
         return f"GF2Subspace(width={self.width}, basis=[{rows}])"
 
 
-def _kernel_basis(matrix: GF2Matrix) -> GF2Subspace:
-    """The null space of the matrix, as a canonical subspace of GF(2)^n_cols."""
-    rows, pivots = _rref(matrix.rows, matrix.n_cols)
-    pivot_set = set(pivots)
-    basis = []
-    for q in range(matrix.n_cols):
-        if q in pivot_set:
-            continue
-        vec = 1 << q
-        for row, p in zip(rows, pivots):
-            if (row >> q) & 1:
-                vec |= 1 << p
-        basis.append(vec)
-    return GF2Subspace.from_vectors(basis, matrix.n_cols)
-
-
 def solve(matrix: GF2Matrix, targets: GF2Matrix) -> GF2Matrix:
     """The unique X with matrix @ X = targets; the matrix must have full
     column rank and the system must be consistent."""
@@ -234,38 +208,16 @@ def solve(matrix: GF2Matrix, targets: GF2Matrix) -> GF2Matrix:
         raise ValueError("row count mismatch")
     w = matrix.n_cols
     aug = [m | (t << w) for m, t in zip(matrix.rows, targets.rows)]
-    rows, pivots = _rref(aug, w)
-    # _rref only eliminated through column w-1; anything left over with a
-    # zero matrix part but nonzero target part marks an inconsistent system.
-    reduced, _ = _rref(aug, w + targets.n_cols)
-    for r in reduced:
-        if r and not (r & ((1 << w) - 1)):
-            raise ValueError("inconsistent system")
+    rows, pivots = _rref(aug, w + targets.n_cols)
+    # a pivot in the target part is a row 0 = 1
+    if pivots and pivots[-1] >= w:
+        raise ValueError("inconsistent system")
     if len(pivots) < w:
         raise ValueError("matrix does not have full column rank")
     out = [0] * w
     for row, p in zip(rows, pivots):
         out[p] = row >> w
     return GF2Matrix(w, targets.n_cols, out)
-
-
-def _solve_affine(matrix: GF2Matrix, rhs: int) -> tuple[int, GF2Subspace]:
-    """All solutions of matrix @ x = rhs: a particular solution plus the
-    kernel.  Raises ValueError when the system is inconsistent."""
-    if rhs >> matrix.n_rows:
-        raise ValueError("rhs bits beyond row count")
-    w = matrix.n_cols
-    aug = [row | (((rhs >> i) & 1) << w) for i, row in enumerate(matrix.rows)]
-    rows, pivots = _rref(aug, w)
-    # a full reduction catches any leftover 0 = 1 row
-    _, full_pivots = _rref(aug, w + 1)
-    if w in full_pivots:
-        raise ValueError("inconsistent system")
-    particular = 0
-    for row, p in zip(rows, pivots):
-        if row >> w:
-            particular |= 1 << p
-    return particular, _kernel_basis(matrix)
 
 
 def enumerate_subspaces_containing_e(n: int, k: int) -> Iterator[GF2Subspace]:
@@ -380,28 +332,10 @@ def _component_actions(n: int, masks: Sequence[int],
         yield Automorphism(n, SignedPermutation(images))
 
 
-def _as_signed_unit(image, n: int) -> tuple[int, int]:
-    """Coerce an image description to (sign, mask): accepts (sign, mask)
-    pairs or MulticomplexNumber values that are signed canonical units."""
-    if isinstance(image, MulticomplexNumber):
-        terms = [(mask, c) for mask, c in image.support()]
-        if len(terms) != 1:
-            raise ValueError(f"not a signed canonical unit: {image}")
-        mask, coeff = terms[0]
-        if coeff.exp != 0 or coeff.num not in (1, -1):
-            raise ValueError(f"not a signed canonical unit: {image}")
-        return (1 if coeff.num > 0 else -1), mask
-    sign, mask = image
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +-1, got {sign}")
-    if not 0 <= mask < (1 << n):
-        raise ValueError(f"mask {mask} out of range for n={n}")
-    return sign, mask
-
-
-def unit_images_to_automorphism(images: Sequence, n: int) -> Automorphism:
-    """Build the automorphism sending each generator i_k to the given signed
-    canonical unit.
+def unit_images_to_automorphism(images: Sequence[tuple[int, int]],
+                                n: int) -> Automorphism:
+    """Build the automorphism sending each generator i_k to the signed
+    canonical unit sign * (unit with mask), given as (sign, mask) pairs.
 
     Raises ValueError when an image squares to +1 (even number of unit
     factors) or when the masks are linearly dependent over GF(2), in which
@@ -411,44 +345,31 @@ def unit_images_to_automorphism(images: Sequence, n: int) -> Automorphism:
     if len(images) != n:
         raise ValueError(f"expected {n} images, got {len(images)}")
     masks = []
-    sign_bits = []
-    for image in images:
-        sign, mask = _as_signed_unit(image, n)
+    signs = 0
+    for k, (sign, mask) in enumerate(images):
+        if sign not in (1, -1):
+            raise ValueError(f"sign must be +-1, got {sign}")
+        if not 0 <= mask < (1 << n):
+            raise ValueError(f"mask {mask} out of range for n={n}")
         if mask.bit_count() % 2 == 0:
             raise ValueError(
                 f"image with mask {mask:#b} squares to +1; every generator "
                 "image must square to -1"
             )
         masks.append(mask)
-        sign_bits.append(0 if sign > 0 else 1)
+        signs |= (sign < 0) << k
     if _rank(GF2Matrix.from_columns(masks, n)) != n:
         raise ValueError(
             "image masks are linearly dependent over GF(2); the induced map "
             "collapses idempotent components and is not an automorphism"
         )
-    signs = sum(bit << k for k, bit in enumerate(sign_bits))
     return next(_component_actions(n, masks, [signs]))
 
 
-def _unit_images_matrix(n: int, masks: Sequence[int],
-                        sign_bits: Sequence[int]) -> GF2Matrix:
-    """The (n+1) x (n+1) matrix of the map over GF(2): unit-exponent block,
-    sign row, and affine corner 1."""
-    rows = []
-    for m in range(n):
-        row = 0
-        for j in range(n):
-            row |= ((masks[j] >> m) & 1) << j
-        rows.append(row)
-    srow = 0
-    for j, s in enumerate(sign_bits):
-        srow |= (s & 1) << j
-    rows.append(srow | (1 << n))
-    return GF2Matrix(n + 1, n + 1, rows)
-
-
 def matrix_unit_data(matrix: GF2Matrix) -> tuple[list[int], list[int]]:
-    """Inverse of _unit_images_matrix: read back (masks, sign_bits)."""
+    """Read (masks, sign_bits) back from an emitted (n+1) x (n+1) matrix:
+    column j < n holds masks[j] above sign bit j, and the last column is
+    zero above the affine corner 1."""
     n = matrix.n_cols - 1
     masks = [matrix.column(j) & ((1 << n) - 1) for j in range(n)]
     sign_bits = [(matrix.rows[n] >> j) & 1 for j in range(n)]
@@ -503,32 +424,32 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
                     complement.append(cand)
                 if len(complement) == n - k:
                     break
-            mixed = list(kernel.basis) + complement
-            basis_matrix = GF2Matrix.from_columns(mixed, n)
-            inv = solve(basis_matrix, GF2Matrix.identity(n))
-            comp_rows = inv.rows[k:]
+            mixed = GF2Matrix.from_columns(list(kernel.basis) + complement, n)
+            inv = solve(mixed, GF2Matrix.identity(n))
+            # coordinates along the complement: complement[i] -> e_i, kernel -> 0
+            coords = GF2Matrix(n - k, n, inv.rows[k:])
             for wtuple in _independent_tuples(kernel, n - k):
-                cols = [0] * n
-                for idx, w in enumerate(wtuple):
-                    sel = comp_rows[idx]
-                    while sel:
-                        low = sel & -sel
-                        cols[low.bit_length() - 1] ^= w
-                        sel ^= low
-                z = GF2Matrix.from_columns(cols, n)  # Y transposed
-                masks = [z.rows[j] ^ (1 << j) for j in range(n)]
+                images = GF2Matrix.from_columns(wtuple, n)
+                yt = images @ coords  # Y transposed; its kernel is `kernel`
+                masks = [row ^ (1 << j) for j, row in enumerate(yt.rows)]
                 carry = _carry_vector(masks)
+                # Y^T s = c: images @ t = c fixes the complement part t of s,
+                # and the kernel part is free
                 try:
-                    particular, sign_kernel = _solve_affine(z, carry)
+                    t = solve(images, GF2Matrix.from_columns([carry], n)).rows
                 except ValueError:
                     raise RuntimeError(
                         "sign system inconsistent; no exact involution for "
                         f"unit block {masks}"
                     )
-                signs = sorted(particular ^ x for x in sign_kernel.spanned())
+                particular = 0
+                for vec, bit in zip(complement, t):
+                    if bit:
+                        particular ^= vec
+                signs = sorted(particular ^ x for x in kernel.spanned())
                 if len(set(signs)) != len(signs):
                     raise RuntimeError("duplicate involution emitted")
-                block = _unit_images_matrix(n, masks, [0] * n).rows[:n]
+                block = GF2Matrix.from_columns(masks, n).rows
                 actions = _component_actions(n, masks, signs)
                 for s, auto in zip(signs, actions):
                     yield GF2Matrix(n + 1, n + 1, block + (s | (1 << n),)), auto

@@ -423,7 +423,7 @@ class MulticomplexNumber:
         if "n" not in data:
             raise ValueError("missing field 'n'")
         order = data["n"]
-        if not isinstance(order, int):
+        if not isinstance(order, int) or isinstance(order, bool):
             raise ValueError("field 'n' must be an integer")
         raw = data.get("coeffs", {})
         if not isinstance(raw, Mapping):

@@ -370,10 +370,10 @@ def verify_special_sets(n: int) -> VerificationReport:
     Checks, for each of the squares-to-minus-one, squares-to-one, and
     idempotent families: the defining equation for every element, the
     cardinality 2^(2^(n-1)), and the cross-identities (minus-one family =
-    i1 times the one family; idempotents = (1 + one family)/2, elementwise
-    as sets).  Works on scaled integer coefficient arrays so n = 5 stays
-    fast; spot-checks rows against the literal library enumeration.  A row
-    r stands for the element MulticomplexNumber(n, r, n - 1).
+    i1 times the one family; idempotents = (1 + one family)/2, row by row
+    by pattern).  Works on scaled integer coefficient arrays so n = 5
+    stays fast; spot-checks rows against the literal library enumeration.
+    A row r stands for the element MulticomplexNumber(n, r, n - 1).
     """
     import numpy as np
 
@@ -444,7 +444,7 @@ def verify_special_sets(n: int) -> VerificationReport:
                 "expected": count,
             })
 
-    # minus-one family = i1 * (one family)
+    # minus-one family = i1 * (one family), pattern by pattern
     h_rows = family_rows[SpecialSetKind.SQUARE_ONE]
     u_rows = family_rows[SpecialSetKind.SQUARE_MINUS_ONE]
     i1_h = np.zeros_like(h_rows)
@@ -452,12 +452,13 @@ def verify_special_sets(n: int) -> VerificationReport:
         sign, mm = unit_product(1, m)
         i1_h[:, mm] = sign * h_rows[:, m]
     checks += 1
-    if {r.tobytes() for r in i1_h} != {r.tobytes() for r in u_rows}:
+    if not np.array_equal(i1_h, u_rows):
         return VerificationReport(False, checks, {
             "law": "minus-one family equals i1 times one family"
         })
 
-    # idempotents = (1 + one family) / 2
+    # idempotents = (1 + one family) / 2; (1 + h)/2 for pattern p is the
+    # idempotent of the complementary pattern, count - 1 - p
     shifted = h_rows.copy()
     shifted[:, 0] += scale
     checks += 1
@@ -468,7 +469,7 @@ def verify_special_sets(n: int) -> VerificationReport:
     half = shifted // 2
     e_rows = family_rows[SpecialSetKind.IDEMPOTENT]
     checks += 1
-    if {r.tobytes() for r in half} != {r.tobytes() for r in e_rows}:
+    if not np.array_equal(half, e_rows[::-1]):
         return VerificationReport(False, checks, {
             "law": "idempotent family equals (1 + one family)/2"
         })

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface, via run()."""
 import csv
+import hashlib
 import io
 import json
 import os
@@ -345,6 +346,70 @@ class TestApply:
             capsys, "apply", "--n", "2", "--perm", "1,2", "--input", path
         )
         assert code == 1 and err.startswith("error:")
+
+
+    def test_deeply_nested_json(self, capsys, tmp_path):
+        # json gives up with a RecursionError, which must not escape run()
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = invoke(
+            capsys, "apply", "--n", "2", "--perm", "1,2", "--input", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_bool_order_is_not_an_integer(self, capsys, tmp_path, n):
+        # true == 1 in Python, but JSON true is no ring order
+        path = self.write_element(tmp_path, {"n": True, "coeffs": {}})
+        code, _, err = invoke(
+            capsys, "apply", "--n", n, "--perm", "1", "--input", path
+        )
+        assert code == 1
+        assert err == "error: field 'n' must be an integer\n"
+
+
+# sha256 of stdout, pinned before the preserving generator moved to one
+# GF(2) solve per unit block and the special-set identities to row order
+PINNED_STDOUT = [
+    (("enumerate", "preserving", "--n", "1"),
+     "a713caa109a0fda9d4ecd0372dfdacd0a179585442bd61a121b997b035d98b08"),
+    (("enumerate", "preserving", "--n", "2"),
+     "fcdad5e44b71eb4d2c1e55d7165275b9c07160715406490110865aaefd857bfd"),
+    (("enumerate", "preserving", "--n", "3"),
+     "1dfad5b0cf6857eefd6774678f542615c40e58b1d8db7b2a922d4d7a4a0a6faf"),
+    (("enumerate", "preserving", "--n", "4"),
+     "38d5fef84f3d2ef36ecffceb22272dcbffc435dd118f9c27f23a2053811d47bf"),
+    (("enumerate", "preserving", "--n", "5"),
+     "a6dc694d8005bd9a72cb671321bb3aeaac4685d2395d3142accc5890f23a8ae9"),
+    (("verify", "--suite", "preserving", "--n", "1"),
+     "bc88bd4650350b99787f4afc50cf9c70e30bc7677ab071c34de41574c2dd183b"),
+    (("verify", "--suite", "preserving", "--n", "2"),
+     "9680efa2213edf59f7f95631cc7233af8cb9ce6c3be050f4419053440564ab68"),
+    (("verify", "--suite", "preserving", "--n", "3"),
+     "f2c4075eb2ce07b3e6459512810367ccdacbfba1d5d5f984ebbdda2133ec56ec"),
+    (("verify", "--suite", "preserving", "--n", "4"),
+     "4353f28413fe3e5cbd36e68df4ac27fcda688a636e1b6e64f17f2f493eecb490"),
+    (("verify", "--suite", "preserving", "--n", "5"),
+     "29bbb15b8badf67fae7adeaa68277da1684fbb977bdc0cb022cd3811841808eb"),
+    (("verify", "--suite", "special", "--n", "1"),
+     "306e92a9b271b0970df5ffb6a9a24eef1bb0c4c40815f1f350a554294fad924a"),
+    (("verify", "--suite", "special", "--n", "2"),
+     "4f63e5da82731e0b9a154e3304ef69829e6e41163308b27a9e794b896a4fea2b"),
+    (("verify", "--suite", "special", "--n", "3"),
+     "7391e9934f2e8ef6eb4dc905f88c25c33577ec71443ac44cc359c801acfc14ca"),
+    (("verify", "--suite", "special", "--n", "4"),
+     "b8b6b20a0d0623330ed4ad51c7a32dc62aa489fc30407df97dbbd27e8a990f70"),
+    (("verify", "--suite", "special", "--n", "5"),
+     "c864b499583fe5fecd2a7186f54511b357c2e19ca2becf20243e7f87980b9dcd"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_STDOUT)
+def test_pinned_stdout(capsys, argv, digest):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerify:

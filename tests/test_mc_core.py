@@ -277,6 +277,8 @@ class TestMulticomplexNumber:
     def test_json_field_validation(self):
         with pytest.raises(ValueError):
             MulticomplexNumber.from_json_dict({"n": "3", "coeffs": {}})
+        with pytest.raises(ValueError, match="must be an integer"):
+            MulticomplexNumber.from_json_dict({"n": True, "coeffs": {}})
 
     def test_str_rendering(self):
         x = MulticomplexNumber.from_coeff_map(

@@ -221,6 +221,14 @@ def flipped_basis(n):
     return re_rows, im_rows
 
 
+def swapped_im_rows(n):
+    """The component basis with the i1-multiples of the first two
+    elementary idempotents exchanged: the minus-one family is the same set,
+    but pattern p no longer holds i1 times the one family's pattern p."""
+    re_rows, im_rows = _basis_rows(n)
+    return re_rows, im_rows[[1, 0] + list(range(2, len(im_rows)))]
+
+
 def probe_from_basis(kind, n, indices):
     """Family elements at the given pattern indices, built from whatever
     basis oracle._component_basis_rows gives."""
@@ -258,6 +266,16 @@ class TestVerifySpecialSets:
         report = verify_special_sets(n)
         assert not report.ok
         assert report.failure["law"] == "defining equation of one"
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_swapped_components_fail_the_cross_identity(self, n, monkeypatch):
+        # every family still has its defining equation and cardinality, and
+        # the minus-one family is unchanged as a set
+        monkeypatch.setattr(oracle, "_component_basis_rows", swapped_im_rows)
+        monkeypatch.setattr(oracle, "_probe_special", probe_from_basis)
+        report = verify_special_sets(n)
+        assert not report.ok
+        assert report.failure["law"] == "minus-one family equals i1 times one family"
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
