@@ -1,66 +1,17 @@
 """Exact arithmetic, automorphisms, and involution counting for the
-multicomplex rings MC(n)."""
+multicomplex rings MC(n).
 
-from .mc_core import (
-    DyadicRational,
-    MulticomplexNumber,
-    unit_product,
-    unit_name,
-    parse_unit_name,
-)
-from .idempotent import (
-    ComplexComponent,
-    IdempotentVector,
-    basis_element,
-    to_idempotent,
-    from_idempotent,
-    componentwise_mul,
-)
-from .special_elements import (
-    SpecialSetKind,
-    enumerate_special,
-    special_element_for_pattern,
-    u_times,
-    idempotent_from_h,
-    is_plus_minus_elementary,
-)
-from .automorphism import (
-    Automorphism,
-    CycleType,
-    SignedPermutation,
-    enumerate_automorphisms,
-    enumerate_r_involutions,
-)
-from .counting import (
-    count_automorphisms,
-    count_involutions,
-    count_signed_involutions,
-    g_sequence,
-    count_p_involutions,
-    count_r_involutions,
-    count_signed_r_involutions,
-    cycle_types_with_parts_dividing,
-    count_preserving,
-    count_subspaces_containing_all_ones,
-    count_independent_image_tuples,
-    asymptotic_estimate,
-)
-from .gf2_preserving import (
-    GF2Matrix,
-    GF2Subspace,
-    enumerate_preserving_involutions,
-    enumerate_subspaces_containing_e,
-    unit_images_to_automorphism,
-)
-from .oracle import (
-    VerificationReport,
-    brute_count_preserving,
-    brute_count_r_involutions,
-    brute_count_signed_involutions,
-    corrupted_component_action,
-    verify_homomorphism,
-    verify_special_sets,
-)
+The public names are those in each module's __all__, re-exported here, and
+BudgetExceeded.
+"""
+
+from .mc_core import *
+from .idempotent import *
+from .special_elements import *
+from .automorphism import *
+from .counting import *
+from .gf2_preserving import *
+from .oracle import *
 
 __version__ = "0.1.0"
 
@@ -71,51 +22,12 @@ class BudgetExceeded(ValueError):
 
 
 __all__ = [
-    "DyadicRational",
-    "MulticomplexNumber",
-    "unit_product",
-    "unit_name",
-    "parse_unit_name",
-    "ComplexComponent",
-    "IdempotentVector",
-    "basis_element",
-    "to_idempotent",
-    "from_idempotent",
-    "componentwise_mul",
-    "SpecialSetKind",
-    "enumerate_special",
-    "special_element_for_pattern",
-    "u_times",
-    "idempotent_from_h",
-    "is_plus_minus_elementary",
-    "Automorphism",
+    *mc_core.__all__,
+    *idempotent.__all__,
+    *special_elements.__all__,
+    *automorphism.__all__,
+    *counting.__all__,
+    *gf2_preserving.__all__,
+    *oracle.__all__,
     "BudgetExceeded",
-    "CycleType",
-    "SignedPermutation",
-    "enumerate_automorphisms",
-    "enumerate_r_involutions",
-    "count_automorphisms",
-    "count_involutions",
-    "count_signed_involutions",
-    "g_sequence",
-    "count_p_involutions",
-    "count_r_involutions",
-    "count_signed_r_involutions",
-    "cycle_types_with_parts_dividing",
-    "count_preserving",
-    "count_subspaces_containing_all_ones",
-    "count_independent_image_tuples",
-    "asymptotic_estimate",
-    "GF2Matrix",
-    "GF2Subspace",
-    "enumerate_preserving_involutions",
-    "enumerate_subspaces_containing_e",
-    "unit_images_to_automorphism",
-    "VerificationReport",
-    "brute_count_preserving",
-    "brute_count_r_involutions",
-    "brute_count_signed_involutions",
-    "corrupted_component_action",
-    "verify_homomorphism",
-    "verify_special_sets",
 ]

@@ -16,7 +16,12 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .idempotent import IdempotentVector, from_idempotent, to_idempotent
+from .idempotent import (
+    IdempotentVector,
+    _n_components,
+    from_idempotent,
+    to_idempotent,
+)
 from .mc_core import MulticomplexNumber
 
 __all__ = [
@@ -129,13 +134,6 @@ class SignedPermutation:
     def to_json_dict(self) -> dict:
         return {"N": self.n_symbols, "images": list(self.images)}
 
-    @classmethod
-    def from_json_dict(cls, data: Mapping) -> "SignedPermutation":
-        perm = cls(data["images"])
-        if perm.n_symbols != data.get("N", perm.n_symbols):
-            raise ValueError("field 'N' disagrees with the number of images")
-        return perm
-
     def __repr__(self) -> str:
         return f"SignedPermutation({self.to_text()})"
 
@@ -184,15 +182,16 @@ class Automorphism:
     perm: SignedPermutation
 
     def __post_init__(self):
-        if self.perm.n_symbols != 1 << (self.order_n - 1):
+        N = _n_components(self.order_n)
+        if self.perm.n_symbols != N:
             raise ValueError(
                 f"permutation of {self.perm.n_symbols} symbols does not act on "
-                f"the {1 << (self.order_n - 1)} components of MC({self.order_n})"
+                f"the {N} components of MC({self.order_n})"
             )
 
     @classmethod
     def identity(cls, n: int) -> "Automorphism":
-        return cls(n, SignedPermutation.identity(1 << (n - 1)))
+        return cls(n, SignedPermutation.identity(_n_components(n)))
 
     @classmethod
     def from_text(cls, n: int, text: str) -> "Automorphism":
@@ -250,9 +249,7 @@ def enumerate_automorphisms(n: int) -> Iterator[Automorphism]:
     Unsigned permutations run lexicographically; for each, sign masks run in
     increasing binary order with bit j flipping the sign of the image of j+1.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    N = 1 << (n - 1)
+    N = _n_components(n)
     for base in itertools.permutations(range(1, N + 1)):
         for mask in range(1 << N):
             images = [

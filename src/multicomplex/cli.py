@@ -98,7 +98,8 @@ def _build_parser() -> _Parser:
     e.add_argument("--r", type=int)
     e.add_argument("--kind", choices=[k.value for k in SpecialSetKind],
                    help="which special family (enumerate special)")
-    e.add_argument("--format", choices=FORMATS)
+    e.add_argument("--format", choices=("json", "csv"),
+                   help="csv is for enumerate special only")
 
     a = sub.add_parser("apply", help="apply an automorphism to an element",
                        parents=[common])
@@ -308,9 +309,12 @@ def _special_csv(n: int, kind: SpecialSetKind) -> str:
 
 
 def _cmd_enumerate(args) -> int:
-    fmt = _resolve_format(args.format)
     what = args.what
     n = args.n
+    if args.format == "csv" and what != "special":
+        raise _UsageError(f"enumerate {what} prints json only")
+    # a default from the environment that the kind cannot print gives json
+    fmt = _resolve_format(args.format)
 
     if what == "special":
         if args.kind is None:

@@ -11,6 +11,7 @@ import math
 from typing import Iterator
 
 from .automorphism import CycleType
+from .idempotent import _n_components
 
 __all__ = [
     "count_automorphisms",
@@ -28,15 +29,9 @@ __all__ = [
 ]
 
 
-def _require_order(n: int) -> int:
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    return 1 << (n - 1)
-
-
 def count_automorphisms(n: int) -> int:
     """Number of real-linear ring automorphisms of MC(n): 2^N * N!."""
-    N = _require_order(n)
+    N = _n_components(n)
     return (1 << N) * math.factorial(N)
 
 
@@ -61,7 +56,7 @@ def count_signed_involutions(N: int) -> int:
 
 def count_involutions(n: int) -> int:
     """Number of involutions of MC(n), by the closed-form sum."""
-    return count_signed_involutions(_require_order(n))
+    return count_signed_involutions(_n_components(n))
 
 
 def g_sequence(m: int) -> int:
@@ -102,7 +97,7 @@ def count_p_involutions(n: int, p: int) -> int:
     """
     if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
-    N = _require_order(n)
+    N = _n_components(n)
     term = total = 1
     for k in range(N // p):
         term, rem = divmod(term * math.perm(N - p * k, p) << (p - 1), p * (k + 1))
@@ -170,7 +165,7 @@ def count_signed_r_involutions(N: int, r: int) -> int:
 
 def count_r_involutions(n: int, r: int) -> int:
     """Number of automorphisms f of MC(n) with f^r = identity."""
-    return count_signed_r_involutions(_require_order(n), r)
+    return count_signed_r_involutions(_n_components(n), r)
 
 
 def count_subspaces_containing_all_ones(k: int, n: int) -> int:
@@ -210,7 +205,7 @@ def count_preserving(n: int) -> int:
     Sum over kernel dimensions k from ceil(n/2) to n of
     subspace_count * image_tuple_count * 2^k.
     """
-    _require_order(n)
+    _n_components(n)
     total = 0
     for k in range((n + 1) // 2, n + 1):
         total += (
@@ -221,17 +216,17 @@ def count_preserving(n: int) -> int:
     return total
 
 
-def asymptotic_estimate(n: int, dps: int = 60) -> mpmath.mpf:
+def asymptotic_estimate(n: int) -> mpmath.mpf:
     """Log of the large-n estimate of count_involutions(n).
 
     The estimate is (2^n/e)^(2^(n-2)) * e^(2^(n/2)) / sqrt(2e); the value
-    returned is its natural log, computed at `dps` decimal digits:
+    returned is its natural log, computed at 60 decimal digits:
     2^(n-2) * (n ln 2 - 1) + 2^(n/2) - (ln 2 + 1)/2.
     """
     import mpmath
 
-    _require_order(n)
-    with mpmath.workdps(dps):
+    _n_components(n)
+    with mpmath.workdps(60):
         ln2 = mpmath.ln(2)
         lead = mpmath.mpf(2) ** (n - 2) * (n * ln2 - 1)
         middle = mpmath.mpf(2) ** (mpmath.mpf(n) / 2)

@@ -8,6 +8,12 @@ basis, ring multiplication is componentwise complex multiplication.
 
 For n = 1 the basis is {1} and a vector has a single component equal to the
 number itself.
+
+An IdempotentVector holds the 2^(n-1) components as one integer vector over
+a power of two, like MulticomplexNumber, and the change of basis and the
+componentwise product are the integer kernels of mc_core.  ComplexComponent
+is the read-only view of one component, with conjugation as the only
+operation: the ring arithmetic happens on the vectors.
 """
 from __future__ import annotations
 
@@ -35,8 +41,9 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class ComplexComponent:
-    """One MC(1) component, re + i1*im with dyadic parts: the view of one
-    coordinate of an IdempotentVector."""
+    """One MC(1) component, re + i1*im with dyadic parts: the read-only
+    view of one coordinate of an IdempotentVector.  Arithmetic runs on the
+    vector's integers, not here."""
 
     re: DyadicRational = 0
     im: DyadicRational = 0
@@ -44,21 +51,6 @@ class ComplexComponent:
     def __post_init__(self):
         object.__setattr__(self, "re", _dyadic(self.re))
         object.__setattr__(self, "im", _dyadic(self.im))
-
-    def __add__(self, other: "ComplexComponent") -> "ComplexComponent":
-        return ComplexComponent(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "ComplexComponent") -> "ComplexComponent":
-        return ComplexComponent(self.re - other.re, self.im - other.im)
-
-    def __neg__(self) -> "ComplexComponent":
-        return ComplexComponent(-self.re, -self.im)
-
-    def __mul__(self, other: "ComplexComponent") -> "ComplexComponent":
-        return ComplexComponent(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
 
     def conjugate(self) -> "ComplexComponent":
         return ComplexComponent(self.re, -self.im)
@@ -78,9 +70,8 @@ class IdempotentVector:
     """An element of MC(n) in idempotent coordinates: 2^(n-1) components,
     component j being (nums[2j] + nums[2j+1] i1) / 2^exp.
 
-    nums may also be given as 2^(n-1) ComplexComponents, or as numbers the
-    way MulticomplexNumber takes them; it is stored as 2^n ints in lowest
-    terms.
+    nums is given as 2^n numbers the way MulticomplexNumber takes them, and
+    stored as ints in lowest terms.
     """
 
     order: int
@@ -90,10 +81,7 @@ class IdempotentVector:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("order must be at least 1")
-        values = tuple(self.nums)
-        if set(map(type, values)) == {ComplexComponent}:
-            values = [part for c in values for part in (c.re, c.im)]
-        nums, exp = _integer_vector(values, self.exp)
+        nums, exp = _integer_vector(self.nums, self.exp)
         if len(nums) != 1 << self.order:
             raise ValueError(
                 f"expected {1 << (self.order - 1)} components ({1 << self.order} "
@@ -116,13 +104,21 @@ class IdempotentVector:
         return f"IdempotentVector({self.order}: [{inner}])"
 
 
+def _n_components(n: int) -> int:
+    """N = 2^(n-1), the number of idempotent components of MC(n), for
+    n >= 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return 1 << (n - 1)
+
+
 def basis_element(index: int, order: int) -> MulticomplexNumber:
     """The basis idempotent for an (order-1)-bit index, as an explicit product.
 
     Bit t of the index picks the factor at level t + 2: a clear bit gives
     (1 + i_{t+1} i_{t+2})/2, a set bit gives (1 - i_{t+1} i_{t+2})/2.
     """
-    if not 0 <= index < (1 << (order - 1)):
+    if not 0 <= index < _n_components(order):
         raise ValueError(f"index {index} out of range for order {order}")
     result = MulticomplexNumber.one(order)
     for t in range(order - 1):

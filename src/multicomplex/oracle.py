@@ -5,8 +5,10 @@ entire signed-permutation groups element by element, literally composes
 maps, multiplies by the direct O(4^n) convolution instead of the
 idempotent transform, and grinds through special sets with exact
 scaled-integer arithmetic, so that agreement between the two routes is
-meaningful evidence.  numpy is imported inside the functions that use it,
-so that importing the package does not load it.
+meaningful evidence.  It holds the checks only: the corrupted maps and
+bases that show each check can fail are test doubles in the test suite.
+numpy is imported inside the functions that use it, so that importing the
+package does not load it.
 """
 from __future__ import annotations
 
@@ -14,8 +16,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .automorphism import Automorphism
-from .idempotent import IdempotentVector, from_idempotent, to_idempotent
+# to_idempotent is unused here: perfbench's tests check that the tracer
+# patches this module's binding of it
+from .idempotent import IdempotentVector, from_idempotent, to_idempotent  # noqa: F401
 from .mc_core import DyadicRational, MulticomplexNumber, unit_product
 from .special_elements import SpecialSetKind, special_element_for_pattern
 
@@ -26,7 +29,6 @@ __all__ = [
     "brute_count_signed_involutions",
     "verify_homomorphism",
     "verify_special_sets",
-    "corrupted_component_action",
 ]
 
 
@@ -181,37 +183,6 @@ def brute_count_preserving(n: int) -> int:
 # homomorphism verification
 
 
-class _CorruptedAction:
-    """A linear map agreeing with a base automorphism except that the image
-    of one elementary idempotent has its sign flipped, while the matching
-    imaginary part transports normally.  Deliberately not multiplicative."""
-
-    __slots__ = ("base", "component")
-
-    def __init__(self, base: Automorphism, component: int):
-        self.base = base
-        self.component = component
-
-    @property
-    def order_n(self) -> int:
-        return self.base.order_n
-
-    def apply(self, eta: MulticomplexNumber) -> MulticomplexNumber:
-        vec = to_idempotent(self.base.apply(eta))
-        nums = list(vec.nums)
-        to = 2 * abs(self.base.perm.images[self.component]) - 2
-        nums[to] = -nums[to]
-        return from_idempotent(IdempotentVector(self.base.order_n, nums, vec.exp))
-
-
-def corrupted_component_action(base: Automorphism, component: int):
-    """Negative control for verify_homomorphism: flips the sign on one
-    idempotent-component image without touching its imaginary partner."""
-    if not 0 <= component < (1 << (base.order_n - 1)):
-        raise ValueError("component index out of range")
-    return _CorruptedAction(base, component)
-
-
 def _convolve(x: MulticomplexNumber, y: MulticomplexNumber) -> MulticomplexNumber:
     """x * y by the direct convolution e_a e_b = (-1)^popcount(a & b)
     e_(a xor b), in O(4^n) integer steps: the reference the product through
@@ -236,16 +207,14 @@ def _witness(law: str, inputs: Sequence[MulticomplexNumber],
     }
 
 
-def verify_homomorphism(f, samples: Iterable[MulticomplexNumber] | None = None
-                        ) -> VerificationReport:
+def verify_homomorphism(f) -> VerificationReport:
     """Check ring-homomorphism laws for a map on MC(n), exactly.
 
-    Multiplicativity is checked on every pair of canonical units (which
-    spans everything by bilinearity), along with additivity and real
-    scaling; the optional samples are checked pairwise on top of that.
-    Every product is taken by the direct convolution, not by the ring's
-    transform-based product, which f.apply shares its transform with.
-    f may be an Automorphism or any object with order_n and apply().
+    Multiplicativity and additivity are checked on every pair of canonical
+    units, and real scaling on every unit; by linearity that covers every
+    element.  Every product is taken by the direct convolution, not by the
+    ring's transform-based product, which f.apply shares its transform
+    with.  f may be an Automorphism or any object with order_n and apply().
     """
     n = f.order_n
     apply = f.apply
@@ -280,34 +249,6 @@ def verify_homomorphism(f, samples: Iterable[MulticomplexNumber] | None = None
                 return VerificationReport(
                     False, checks,
                     _witness(f"real-scaling by {lam}", [ua], lhs, rhs),
-                )
-
-    sample_list = list(samples) if samples is not None else []
-    sample_images = [apply(s) for s in sample_list]
-    for (i, x), (j, y) in itertools.combinations(enumerate(sample_list), 2):
-        lhs = apply(_convolve(x, y))
-        rhs = _convolve(sample_images[i], sample_images[j])
-        checks += 1
-        if lhs != rhs:
-            return VerificationReport(
-                False, checks, _witness("multiplicative", [x, y], lhs, rhs)
-            )
-        lhs = apply(x + y)
-        rhs = sample_images[i] + sample_images[j]
-        checks += 1
-        if lhs != rhs:
-            return VerificationReport(
-                False, checks, _witness("additive", [x, y], lhs, rhs)
-            )
-    for i, x in enumerate(sample_list):
-        for lam in scalars:
-            lhs = apply(x.scale(lam))
-            rhs = sample_images[i].scale(lam)
-            checks += 1
-            if lhs != rhs:
-                return VerificationReport(
-                    False, checks,
-                    _witness(f"real-scaling by {lam}", [x], lhs, rhs),
                 )
     return VerificationReport(True, checks)
 
@@ -394,9 +335,11 @@ def verify_special_sets(n: int) -> VerificationReport:
         SpecialSetKind.SQUARE_ONE: pm @ re_rows,
         SpecialSetKind.IDEMPOTENT: bits @ re_rows,
     }
+    # each array is dropped after its last use: at n = 5 a family array is
+    # 16 MB, and the peak is the families plus the square being taken
+    del patterns, bits, pm
 
     checks = 0
-    failure = None
 
     # spot-check the array construction against the literal enumeration
     probe_indices = sorted({0, 1, count - 1, count // 3, (2 * count) // 3})
@@ -429,14 +372,14 @@ def verify_special_sets(n: int) -> VerificationReport:
         checks += rows.shape[0]
         if bad.size:
             idx = int(bad[0])
-            failure = {
+            return VerificationReport(False, checks, {
                 "law": f"defining equation of {kind.value}",
                 "element": str(MulticomplexNumber(n, rows[idx].tolist(), n - 1)),
                 "square": str(
                     MulticomplexNumber(n, squares[idx].tolist(), 2 * n - 2)
                 ),
-            }
-            return VerificationReport(False, checks, failure)
+            })
+        del squares
         checks += 1
         if len({row.tobytes() for row in rows}) != count:
             return VerificationReport(False, checks, {
@@ -456,6 +399,7 @@ def verify_special_sets(n: int) -> VerificationReport:
         return VerificationReport(False, checks, {
             "law": "minus-one family equals i1 times one family"
         })
+    del i1_h
 
     # idempotents = (1 + one family) / 2; (1 + h)/2 for pattern p is the
     # idempotent of the complementary pattern, count - 1 - p
@@ -466,10 +410,10 @@ def verify_special_sets(n: int) -> VerificationReport:
         return VerificationReport(False, checks, {
             "law": "(1 + h)/2 stays dyadic at the family scale"
         })
-    half = shifted // 2
+    shifted //= 2
     e_rows = family_rows[SpecialSetKind.IDEMPOTENT]
     checks += 1
-    if not np.array_equal(half, e_rows[::-1]):
+    if not np.array_equal(shifted, e_rows[::-1]):
         return VerificationReport(False, checks, {
             "law": "idempotent family equals (1 + one family)/2"
         })

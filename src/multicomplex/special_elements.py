@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Iterator, Sequence
 
-from .idempotent import IdempotentVector, from_idempotent
+from .idempotent import IdempotentVector, _n_components, from_idempotent
 from .mc_core import DyadicRational, MulticomplexNumber
 
 __all__ = [
@@ -44,9 +44,7 @@ def special_element_for_pattern(kind: SpecialSetKind, n: int,
                                 pattern: int) -> MulticomplexNumber:
     """The element of the requested set whose component choices are encoded
     by the bits of pattern, lowest component index least significant."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    count = 1 << (n - 1)
+    count = _n_components(n)
     if not 0 <= pattern < (1 << count):
         raise ValueError(f"pattern {pattern} out of range for n={n}")
     zero_choice, one_choice = _COMPONENT_CHOICES[SpecialSetKind(kind)]
@@ -59,9 +57,7 @@ def special_element_for_pattern(kind: SpecialSetKind, n: int,
 
 def enumerate_special(kind: SpecialSetKind, n: int) -> Iterator[MulticomplexNumber]:
     """Yield all 2^(2^(n-1)) elements of the requested set, in pattern order."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    for pattern in range(1 << (1 << (n - 1))):
+    for pattern in range(1 << _n_components(n)):
         yield special_element_for_pattern(kind, n, pattern)
 
 

@@ -106,12 +106,10 @@ class TestSignedPermutation:
             SignedPermutation.from_text("")
 
     @given(signed_permutations())
-    def test_json_round_trip(self, pi):
-        assert SignedPermutation.from_json_dict(pi.to_json_dict()) == pi
-
-    def test_json_size_field_checked(self):
-        with pytest.raises(ValueError):
-            SignedPermutation.from_json_dict({"N": 3, "images": [1, 2]})
+    def test_json_form(self, pi):
+        data = pi.to_json_dict()
+        assert data == {"N": pi.n_symbols, "images": list(pi.images)}
+        assert SignedPermutation(data["images"]) == pi
 
 
 class TestCycleType:
@@ -164,6 +162,21 @@ class TestAutomorphism:
     def test_size_validation(self):
         with pytest.raises(ValueError):
             Automorphism(3, SignedPermutation([1, 2]))
+
+    def test_order_zero_rejected(self):
+        one = SignedPermutation([1])
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            Automorphism(0, one)
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            Automorphism(-1, one)
+
+    def test_identity_of_order_zero_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            Automorphism.identity(0)
+
+    def test_from_text_of_order_zero_rejected(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            Automorphism.from_text(0, "1")
 
     def test_identity_fixes_everything(self):
         f = Automorphism.identity(3)

@@ -210,6 +210,22 @@ class TestEnumerate:
             "1,0,0,0\n"
         )
 
+    @pytest.mark.parametrize("what", [
+        ("automorphisms",), ("involutions",), ("r-involutions", "--r", "2"),
+        ("preserving",),
+    ])
+    def test_csv_is_for_special_only(self, capsys, what):
+        code, out, err = invoke(capsys, "enumerate", *what, "--n", "2",
+                                "--format", "csv")
+        assert (code, out) == (1, "")
+        assert err == f"usage error: enumerate {what[0]} prints json only\n"
+
+    def test_markdown_is_not_a_choice(self, capsys):
+        code, out, err = invoke(capsys, "enumerate", "special", "--n", "2",
+                                "--kind", "one", "--format", "markdown")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error: argument --format: invalid choice")
+
     def test_refused_by_default(self, capsys):
         code, _, err = invoke(capsys, "enumerate", "automorphisms", "--n", "5")
         assert code == 1 and "exceeds the budget" in err
@@ -517,6 +533,25 @@ class TestFormatResolution:
         code, out, _ = invoke(capsys, "table", "--max-n", "1", "--format", "csv")
         assert code == 0
         assert out.startswith("n,involutions")
+
+    @pytest.mark.parametrize("env,what", [
+        ("csv", ("preserving",)),
+        ("markdown", ("preserving",)),
+        ("markdown", ("special", "--kind", "one")),
+    ])
+    def test_enumerate_falls_back_to_json(self, capsys, monkeypatch, env, what):
+        # the environment sets a default, which a kind that cannot print it
+        # replaces by json
+        argv = ("enumerate", *what, "--n", "2")
+        json_out = invoke(capsys, *argv, "--format", "json")[1]
+        monkeypatch.setenv(cli.FORMAT_ENV, env)
+        assert invoke(capsys, *argv) == (0, json_out, "")
+
+    def test_environment_csv_reaches_enumerate_special(self, capsys, monkeypatch):
+        argv = ("enumerate", "special", "--n", "2", "--kind", "idempotent")
+        csv_out = invoke(capsys, *argv, "--format", "csv")[1]
+        monkeypatch.setenv(cli.FORMAT_ENV, "csv")
+        assert invoke(capsys, *argv) == (0, csv_out, "")
 
     def test_unknown_environment_value_falls_back_to_json(self, capsys,
                                                           monkeypatch):

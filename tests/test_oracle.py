@@ -8,19 +8,21 @@ from hypothesis import given, strategies as st
 from multicomplex import (
     Automorphism,
     DyadicRational,
+    IdempotentVector,
     MulticomplexNumber,
     SpecialSetKind,
     VerificationReport,
     brute_count_preserving,
     brute_count_r_involutions,
     brute_count_signed_involutions,
-    corrupted_component_action,
     count_preserving,
     count_r_involutions,
     count_signed_involutions,
     enumerate_automorphisms,
     enumerate_preserving_involutions,
+    from_idempotent,
     oracle,
+    to_idempotent,
     unit_product,
     verify_homomorphism,
     verify_special_sets,
@@ -149,6 +151,25 @@ class TestBrutePreserving:
                 brute_count_preserving(n)
 
 
+class CorruptedAction:
+    """Negative control for verify_homomorphism: a linear map agreeing with
+    a base automorphism except that the image of one elementary idempotent
+    has its sign flipped, while the matching imaginary part transports
+    normally.  Deliberately not multiplicative."""
+
+    def __init__(self, base, component):
+        self.base = base
+        self.component = component
+        self.order_n = base.order_n
+
+    def apply(self, eta):
+        vec = to_idempotent(self.base.apply(eta))
+        nums = list(vec.nums)
+        to = 2 * abs(self.base.perm.images[self.component]) - 2
+        nums[to] = -nums[to]
+        return from_idempotent(IdempotentVector(self.order_n, nums, vec.exp))
+
+
 class TestVerifyHomomorphism:
     def test_identity_passes(self):
         report = verify_homomorphism(Automorphism.identity(3))
@@ -172,20 +193,9 @@ class TestVerifyHomomorphism:
         f = Automorphism.from_text(3, "4,1,-3,2")
         assert verify_homomorphism(f).ok
 
-    def test_samples_are_checked(self):
-        f = Automorphism.identity(2)
-        samples = [
-            MulticomplexNumber.from_coeff_map(2, {0: "1/2", 3: "-3/4"}),
-            MulticomplexNumber.from_coeff_map(2, {1: 2, 2: "5/2"}),
-        ]
-        base = verify_homomorphism(f).checks
-        report = verify_homomorphism(f, samples)
-        assert report.ok
-        assert report.checks == base + 2 + 2 * 2
-
     def test_corrupted_map_fails_multiplicativity(self):
         base = Automorphism.identity(2)
-        bad = corrupted_component_action(base, 0)
+        bad = CorruptedAction(base, 0)
         report = verify_homomorphism(bad)
         assert not report.ok
         assert report.failure["law"] == "multiplicative"
@@ -193,12 +203,8 @@ class TestVerifyHomomorphism:
 
     def test_corrupted_map_fails_for_every_base(self):
         for f in enumerate_automorphisms(2):
-            bad = corrupted_component_action(f, 1)
+            bad = CorruptedAction(f, 1)
             assert not verify_homomorphism(bad).ok
-
-    def test_corrupted_component_range(self):
-        with pytest.raises(ValueError):
-            corrupted_component_action(Automorphism.identity(2), 2)
 
     def test_report_json(self):
         good = VerificationReport(True, 5)

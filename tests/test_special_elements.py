@@ -2,6 +2,7 @@
 import pytest
 
 from multicomplex import (
+    DyadicRational,
     MulticomplexNumber,
     SpecialSetKind,
     enumerate_special,
@@ -50,9 +51,9 @@ class TestEnumeration:
         i2 = MulticomplexNumber.generator(2, 2)
         pair = MulticomplexNumber.unit(0b11, 2)
         one = MulticomplexNumber.one(2)
-        half = "1/2"
+        half = DyadicRational(1, 1)
         e_plus = MulticomplexNumber.from_coeff_map(2, {0: half, 3: half})
-        e_minus = MulticomplexNumber.from_coeff_map(2, {0: half, 3: "-1/2"})
+        e_minus = MulticomplexNumber.from_coeff_map(2, {0: half, 3: -half})
         assert set(family(SpecialSetKind.SQUARE_MINUS_ONE, 2)) == {
             i1, -i1, i2, -i2
         }
@@ -124,4 +125,4 @@ class TestElementaryPredicate:
         i1 = MulticomplexNumber.generator(1, 2)
         assert not is_plus_minus_elementary(zero)
         assert not is_plus_minus_elementary(one + i1)
-        assert not is_plus_minus_elementary(one.scale("1/2"))
+        assert not is_plus_minus_elementary(one.scale(DyadicRational(1, 1)))
