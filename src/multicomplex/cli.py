@@ -207,8 +207,10 @@ def _work(args) -> int:
       enumerate preserving                P(n) n N steps
       enumerate special                   2^N 8 n 2^n steps
       verify special                      6 2^N 4^n array elements
-      verify automorphisms                |B_N| (2 4^n + 2 2^n) 4^n steps:
-                                          checks per map, a product each
+      verify automorphisms                |B_N| (A 8 n 2^n + P 4^n) steps:
+                                          A = 2^(n+2) - 1 + P applies and
+                                          P = 2^(n-1) (2^n + 1) products
+                                          per map
       verify involutions, r-involutions   N! r N steps + R(N, r), r = 2
       verify preserving                   P(n) n N steps
       verify all                          the sum of its suites
@@ -221,9 +223,9 @@ def _work(args) -> int:
     preserving 2 to 5 ns per operation (n = 100..520), the step formulas
     0.05 to 6 us per step.  The default budget, 10^10, admits calls of up
     to 19 s: count involutions --n 18 (9.7e9) and count preserving --n 520
-    (9.3e9) took 19 s; verify --suite automorphisms --n 3 (3.5e9) took
-    2 s, apply --n 16 (8.4e9) 1.3 s, enumerate preserving --n 5 (1.2e9)
-    1.4 s, verify --suite special --n 5 (4.0e8) 1.0 s and verify --suite
+    (9.3e9) took 19 s; verify --suite automorphisms --n 3 (5.8e9) took
+    1.1 s, apply --n 16 (8.4e9) 1.3 s, enumerate preserving --n 5 (1.2e9)
+    1.4 s, verify --suite special --n 5 (4.0e8) 0.7 s and verify --suite
     involutions --n 4 (6.5e8) 0.03 s, each run in-process through run().
     It refuses count r-involutions --n 13 --r 720720 (4.8e10, 80 s) and
     enumerate automorphisms --n 4 (8.3e10).
@@ -265,7 +267,9 @@ def _work(args) -> int:
         if suite == "special":
             work += 6 * (1 << G) * 4 ** e
         elif suite == "automorphisms":
-            work += group * (2 * 4 ** e + 2 * 2 ** e) * 4 ** e * _STEP
+            products = (1 << (e - 1)) * ((1 << e) + 1)
+            applies = (1 << (e + 2)) - 1 + products
+            work += group * (applies * element + products * 4 ** e * _STEP)
         elif suite == "preserving":
             work += counting.count_preserving(e) * n * N * _STEP
         else:

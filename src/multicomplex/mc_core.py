@@ -110,6 +110,10 @@ class DyadicRational:
         other = _dyadic(other)
         return self.num == other.num and self.exp == other.exp
 
+    def __hash__(self) -> int:
+        # an integer value hashes as the int it equals
+        return hash(self.num) if not self.exp else hash((self.num, self.exp))
+
     def __str__(self) -> str:
         return _text(self.num, self.exp)
 

@@ -398,6 +398,12 @@ PINNED_STDOUT = [
      "38d5fef84f3d2ef36ecffceb22272dcbffc435dd118f9c27f23a2053811d47bf"),
     (("enumerate", "preserving", "--n", "5"),
      "a6dc694d8005bd9a72cb671321bb3aeaac4685d2395d3142accc5890f23a8ae9"),
+    (("verify", "--suite", "automorphisms", "--n", "1"),
+     "cb873d59337907b4236b38bb3b4df7eae48e13dfe5c50d46efc0f6bbeb1b491f"),
+    (("verify", "--suite", "automorphisms", "--n", "2"),
+     "58a4526ceb84d38251cf670f93a943123c0a4b70b4493bd9bfa38657e4e71ee5"),
+    (("verify", "--suite", "automorphisms", "--n", "3"),
+     "fb5b3e7012b700996a4ff2c02dff453e37aa829d6e4bef85fb954ab521bf9554"),
     (("verify", "--suite", "preserving", "--n", "1"),
      "bc88bd4650350b99787f4afc50cf9c70e30bc7677ab071c34de41574c2dd183b"),
     (("verify", "--suite", "preserving", "--n", "2"),
@@ -720,10 +726,11 @@ with contextlib.redirect_stdout(io.StringIO()):
              cli.run(["apply", "--n", "3", "--perm", "4,1,-3,2",
                       "--input", {str(element)!r}]),
              cli.run(["enumerate", "preserving", "--n", "3"]),
-             cli.run(["verify", "--suite", "preserving", "--n", "3"])]
+             cli.run(["verify", "--suite", "preserving", "--n", "3"]),
+             cli.run(["verify", "--suite", "automorphisms", "--n", "2"])]
 print(json.dumps([codes, [m for m in ("numpy", "mpmath") if m in sys.modules]]))
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0], []]
+    assert json.loads(proc.stdout) == [[0, 0, 0, 0, 0, 0], []]

@@ -3,13 +3,14 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from multicomplex import (
     Automorphism,
     DyadicRational,
     IdempotentVector,
     MulticomplexNumber,
+    SignedPermutation,
     SpecialSetKind,
     VerificationReport,
     brute_count_preserving,
@@ -151,6 +152,95 @@ class TestBrutePreserving:
                 brute_count_preserving(n)
 
 
+def convolve(x, y):
+    return MulticomplexNumber(x.order, oracle._convolve(x.nums, y.nums), x.exp + y.exp)
+
+
+def loop_verify_homomorphism(f):
+    """One apply per left side and one convolution per product, pair by
+    pair: the reference for oracle.verify_homomorphism."""
+    n = f.order_n
+    apply = f.apply
+    units = [MulticomplexNumber.unit(m, n) for m in range(1 << n)]
+    images = [apply(u) for u in units]
+    scalars = [DyadicRational(3, 1), DyadicRational(-2, 0)]
+    checks = 0
+
+    for a, ua in enumerate(units):
+        for b, ub in enumerate(units):
+            lhs = apply(convolve(ua, ub))
+            rhs = convolve(images[a], images[b])
+            checks += 1
+            if lhs != rhs:
+                return VerificationReport(
+                    False, checks, oracle._witness("multiplicative", [ua, ub], lhs, rhs)
+                )
+            lhs = apply(ua + ub)
+            rhs = images[a] + images[b]
+            checks += 1
+            if lhs != rhs:
+                return VerificationReport(
+                    False, checks, oracle._witness("additive", [ua, ub], lhs, rhs)
+                )
+        for lam in scalars:
+            lhs = apply(ua.scale(lam))
+            rhs = images[a].scale(lam)
+            checks += 1
+            if lhs != rhs:
+                return VerificationReport(
+                    False, checks,
+                    oracle._witness(f"real-scaling by {lam}", [ua], lhs, rhs),
+                )
+    return VerificationReport(True, checks)
+
+
+class Recorded:
+    """A map that records every input it is applied to."""
+
+    def __init__(self, base):
+        self.base = base
+        self.order_n = base.order_n
+        self.inputs = []
+
+    def apply(self, eta):
+        self.inputs.append(eta)
+        return self.base.apply(eta)
+
+
+class Perturbed:
+    """Negative control for verify_homomorphism: a base automorphism with
+    1/2^k added to its image of one input only."""
+
+    def __init__(self, base, target, k):
+        self.base = base
+        self.target = target
+        self.order_n = base.order_n
+        self.offset = MulticomplexNumber.one(base.order_n).scale(DyadicRational(1, k))
+
+    def apply(self, eta):
+        image = self.base.apply(eta)
+        return image + self.offset if eta == self.target else image
+
+
+def automorphisms(n):
+    return st.permutations(range(1, (1 << (n - 1)) + 1)).flatmap(
+        lambda base: st.lists(st.booleans(), min_size=len(base), max_size=len(base)).map(
+            lambda flips: Automorphism(n, SignedPermutation(
+                [-v if flip else v for v, flip in zip(base, flips)]))))
+
+
+@st.composite
+def left_side_inputs(draw, n):
+    """An input the check applies f to: a signed unit, a sum of two units,
+    or a scaled unit."""
+    width = 1 << n
+    a, b = draw(st.integers(0, width - 1)), draw(st.integers(0, width - 1))
+    ua, ub = MulticomplexNumber.unit(a, n), MulticomplexNumber.unit(b, n)
+    return draw(st.sampled_from([
+        ua, -ua, ua + ub, ua.scale(DyadicRational(3, 1)), ua.scale(-2),
+    ]))
+
+
 class CorruptedAction:
     """Negative control for verify_homomorphism: a linear map agreeing with
     a base automorphism except that the image of one elementary idempotent
@@ -205,6 +295,53 @@ class TestVerifyHomomorphism:
         for f in enumerate_automorphisms(2):
             bad = CorruptedAction(f, 1)
             assert not verify_homomorphism(bad).ok
+
+    @staticmethod
+    def assert_matches_the_loop(f):
+        fast, reference = Recorded(f), Recorded(f)
+        report = verify_homomorphism(fast)
+        assert report.to_json_dict() == loop_verify_homomorphism(reference).to_json_dict()
+        # one apply per distinct input, in the order the loop first makes it
+        assert fast.inputs == list(dict.fromkeys(reference.inputs))
+        return report, reference.inputs
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(1, 4).flatmap(automorphisms))
+    def test_matches_the_loop(self, f):
+        report, _ = self.assert_matches_the_loop(f)
+        assert report.ok
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        automorphisms(n), left_side_inputs(n), st.integers(0, 6))))
+    def test_matches_the_loop_on_perturbed_maps(self, case):
+        # the offset 1/2^k reaches left sides over a larger power of two
+        # than the right sides as well as over the same one; the negated
+        # all-ones unit is the one input drawn that the loop never applies
+        report, inputs = self.assert_matches_the_loop(Perturbed(*case))
+        assert report.ok is (case[1] not in inputs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_loop_on_every_corrupted_map(self, n):
+        for base in enumerate_automorphisms(n):
+            for component in range(1 << (n - 1)):
+                bad = CorruptedAction(base, component)
+                report = verify_homomorphism(bad)
+                assert not report.ok
+                assert report.to_json_dict() == \
+                    loop_verify_homomorphism(bad).to_json_dict()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_apply_per_distinct_input(self, n):
+        f = Recorded(Automorphism.from_text(n, ",".join(
+            str(-j if j % 2 else j) for j in range(1 << (n - 1), 0, -1))))
+        assert verify_homomorphism(f).ok
+        width = 1 << n
+        # unit images, negated units but the all-ones one, unordered pairs,
+        # scalings
+        expected = width + (width - 1) + width * (width + 1) // 2 + 2 * width
+        assert len(f.inputs) == len(set(f.inputs)) == expected
+        assert expected == {1: 10, 2: 25, 3: 67, 4: 199}[n]
 
     def test_report_json(self):
         good = VerificationReport(True, 5)
@@ -282,6 +419,32 @@ class TestVerifySpecialSets:
         report = verify_special_sets(n)
         assert not report.ok
         assert report.failure["law"] == "minus-one family equals i1 times one family"
+
+    @pytest.mark.parametrize("block_rows", [3, 4096])
+    def test_row_blocks_find_the_first_bad_square(self, monkeypatch, block_rows):
+        # a wrong square of the one family's pattern 11 only, in the fourth
+        # block of three rows or the first of 4,096
+        n = 3
+        re_rows, _ = _basis_rows(n)
+        bad_row = (1 - 2 * ((11 >> np.arange(4)) & 1)) @ re_rows
+        square = oracle._vectorized_square
+
+        def spoiled(C, n):
+            out = square(C, n)
+            out[(C == bad_row).all(axis=1), 0] += 1
+            return out
+
+        monkeypatch.setattr(oracle, "_vectorized_square", spoiled)
+        monkeypatch.setattr(oracle, "_SQUARE_ROWS", block_rows)
+        report = verify_special_sets(n)
+        # 15 spot checks, 16 squares and the cardinality of the minus-one
+        # family, 16 squares of the one family
+        assert report.checks == 48
+        assert report.failure == {
+            "law": "defining equation of one",
+            "element": str(MulticomplexNumber(n, bad_row.tolist(), n - 1)),
+            "square": "17/16",
+        }
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
