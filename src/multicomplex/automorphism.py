@@ -22,7 +22,7 @@ from .idempotent import (
     from_idempotent,
     to_idempotent,
 )
-from .mc_core import MulticomplexNumber
+from .mc_core import MulticomplexNumber, _from_kernel
 
 __all__ = [
     "SignedPermutation",
@@ -209,7 +209,8 @@ class Automorphism:
             to = 2 * abs(v) - 2
             out[to] = nums[2 * j]
             out[to + 1] = nums[2 * j + 1] if v > 0 else -nums[2 * j + 1]
-        return from_idempotent(IdempotentVector(self.order_n, out, vec.exp))
+        return from_idempotent(
+            _from_kernel(IdempotentVector, self.order_n, out, vec.exp))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         if self.order_n != other.order_n:

@@ -221,12 +221,13 @@ def _work(args) -> int:
     Measured on a 2-core x86-64 host with CPython 3.11: R(N, r) takes 1 to
     3.5 ns per limb product (N = 256..131072, r = 2..720720), count
     preserving 2 to 5 ns per operation (n = 100..520), the step formulas
-    0.05 to 6 us per step.  The default budget, 10^10, admits calls of up
+    0.015 to 6 us per step.  The default budget, 10^10, admits calls of up
     to 19 s: count involutions --n 18 (9.7e9) and count preserving --n 520
     (9.3e9) took 19 s; verify --suite automorphisms --n 3 (5.8e9) took
-    1.1 s, apply --n 16 (8.4e9) 1.3 s, enumerate preserving --n 5 (1.2e9)
-    1.4 s, verify --suite special --n 5 (4.0e8) 0.7 s and verify --suite
-    involutions --n 4 (6.5e8) 0.03 s, each run in-process through run().
+    0.5 to 0.7 s, apply --n 16 (8.4e9) 1.3 s, enumerate preserving --n 5
+    (1.2e9) 1.4 s, verify --suite special --n 5 (4.0e8) 0.4 to 0.5 s and
+    verify --suite involutions --n 4 (6.5e8) 0.01 s, each run in-process
+    through run().
     It refuses count r-involutions --n 13 --r 720720 (4.8e10, 80 s) and
     enumerate automorphisms --n 4 (8.3e10).
     """

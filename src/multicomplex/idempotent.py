@@ -23,6 +23,7 @@ from .mc_core import (
     DyadicRational,
     MulticomplexNumber,
     _dyadic,
+    _from_kernel,
     _integer_vector,
     _merge,
     _split,
@@ -131,17 +132,19 @@ def basis_element(index: int, order: int) -> MulticomplexNumber:
 
 def to_idempotent(eta: MulticomplexNumber) -> IdempotentVector:
     """Exact change of basis into idempotent coordinates."""
-    return IdempotentVector(eta.order, _split(eta.nums, eta.order), eta.exp)
+    return _from_kernel(IdempotentVector, eta.order, _split(eta.nums, eta.order),
+                        eta.exp)
 
 
 def from_idempotent(vec: IdempotentVector) -> MulticomplexNumber:
     """Exact inverse of to_idempotent."""
     n = vec.order
-    return MulticomplexNumber(n, _merge(vec.nums, n), vec.exp + n - 1)
+    return _from_kernel(MulticomplexNumber, n, _merge(vec.nums, n), vec.exp + n - 1)
 
 
 def componentwise_mul(u: IdempotentVector, v: IdempotentVector) -> IdempotentVector:
     """The ring product transported to idempotent coordinates."""
     if u.order != v.order:
         raise ValueError(f"order mismatch: {u.order} vs {v.order}")
-    return IdempotentVector(u.order, _times(u.nums, v.nums), u.exp + v.exp)
+    return _from_kernel(IdempotentVector, u.order, _times(u.nums, v.nums),
+                        u.exp + v.exp)

@@ -141,10 +141,29 @@ def _integer_vector(values: Iterable, exp: int) -> tuple[tuple[int, ...], int]:
         top = max([d.exp for d in parts], default=0)
         nums = tuple([d.num << (top - d.exp) for d in parts])
         exp += top
+    return _lowest_terms(nums, exp)
+
+
+def _lowest_terms(nums, exp: int) -> tuple[tuple[int, ...], int]:
+    """The int vector nums / 2^exp, exp >= 0, with the factors of two that
+    all of nums share stripped."""
     shift = _twos(reduce(or_, nums, 0), exp) if exp else 0
     if shift:
-        nums = tuple(v >> shift for v in nums)
-    return nums, exp - shift
+        return tuple([v >> shift for v in nums]), exp - shift
+    return tuple(nums), exp
+
+
+def _from_kernel(cls, order: int, nums: list[int], exp: int):
+    """A MulticomplexNumber or IdempotentVector (cls) from 2^order ints
+    over 2^exp, exp >= 0, that an integer kernel computed.  Only the common
+    factors of two are stripped: the coercion and checks of the public
+    constructor are for outside input."""
+    obj = object.__new__(cls)
+    nums, exp = _lowest_terms(nums, exp)
+    object.__setattr__(obj, "order", order)
+    object.__setattr__(obj, "nums", nums)
+    object.__setattr__(obj, "exp", exp)
+    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +302,7 @@ class MulticomplexNumber:
             raise ValueError(f"mask {mask} out of range for order {order}")
         nums = [0] * (1 << order)
         nums[mask] = 1
-        return cls(order, nums)
+        return _from_kernel(cls, order, nums, 0)
 
     @classmethod
     def generator(cls, k: int, order: int) -> "MulticomplexNumber":
@@ -320,16 +339,19 @@ class MulticomplexNumber:
         if not isinstance(other, MulticomplexNumber):
             return NotImplemented
         xs, ys, e = self._aligned(other)
-        return MulticomplexNumber(self.order, [a + b for a, b in zip(xs, ys)], e)
+        return _from_kernel(MulticomplexNumber, self.order,
+                            [a + b for a, b in zip(xs, ys)], e)
 
     def __sub__(self, other) -> "MulticomplexNumber":
         if not isinstance(other, MulticomplexNumber):
             return NotImplemented
         xs, ys, e = self._aligned(other)
-        return MulticomplexNumber(self.order, [a - b for a, b in zip(xs, ys)], e)
+        return _from_kernel(MulticomplexNumber, self.order,
+                            [a - b for a, b in zip(xs, ys)], e)
 
     def __neg__(self) -> "MulticomplexNumber":
-        return MulticomplexNumber(self.order, [-a for a in self.nums], self.exp)
+        return _from_kernel(MulticomplexNumber, self.order,
+                            [-a for a in self.nums], self.exp)
 
     def __mul__(self, other) -> "MulticomplexNumber":
         if not isinstance(other, MulticomplexNumber):
@@ -337,13 +359,14 @@ class MulticomplexNumber:
         self._check_order(other)
         n = self.order
         product = _times(_split(self.nums, n), _split(other.nums, n))
-        return MulticomplexNumber(n, _merge(product, n), self.exp + other.exp + n - 1)
+        return _from_kernel(MulticomplexNumber, n, _merge(product, n),
+                            self.exp + other.exp + n - 1)
 
     def scale(self, factor) -> "MulticomplexNumber":
         """Multiply every coefficient by a dyadic scalar."""
         f = _dyadic(factor)
-        return MulticomplexNumber(self.order, [f.num * a for a in self.nums],
-                                  self.exp + f.exp)
+        return _from_kernel(MulticomplexNumber, self.order,
+                            [f.num * a for a in self.nums], self.exp + f.exp)
 
     def square(self) -> "MulticomplexNumber":
         return self * self

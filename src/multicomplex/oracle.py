@@ -13,6 +13,7 @@ package does not load it.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -56,10 +57,48 @@ class VerificationReport:
         return f"VerificationReport({self.checks} checks, {status})"
 
 
-# elements of one chunk's sign-product array: bounds memory for any N
+# 64-bit words of one chunk's sign-bit array: bounds memory for any N
 _CHUNK_ELEMENTS = 1 << 20
 # rows of a special family squared at once: 1 MB of int64 at n = 5
 _SQUARE_ROWS = 1 << 12
+# bit m of _LOW_COLUMNS[p] is bit p of m, for the 64 values m of one word
+_LOW_COLUMNS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
+                0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
+
+
+def _sign_columns(N: int):
+    """The sign bits of all 2^N sign vectors on N symbols, bit-sliced: bit
+    m of column p, 64 vectors to a uint64 word, is the sign bit of symbol p
+    in sign vector m.  N rows of max(1, 2^N / 64) words; when N < 6 the
+    bits past 2^N repeat the used ones."""
+    import numpy as np
+
+    words = max(1, (1 << N) >> 6)
+    cols = np.empty((N, words), dtype=np.uint64)
+    cols[:min(N, 6)] = np.array(_LOW_COLUMNS[:N], dtype=np.uint64)[:, None]
+    # past bit 5 a symbol's sign bit is constant across a word: bit p - 6
+    # of the word's index, spread to all 64 bits
+    index = np.arange(words, dtype=np.int64)
+    for p in range(6, N):
+        cols[p] = (-((index >> (p - 6)) & 1)).view(np.uint64)
+    return cols
+
+
+def _permutation_chunks(N: int, rows: int):
+    """Every permutation of range(N) once, in lexicographic order, as
+    index arrays of at most rows rows: one array per prefix of length k,
+    the least k with (N - k)! <= rows, its rows running through one table
+    of the (N - k)! tails."""
+    import numpy as np
+
+    k = next(k for k in range(N + 1) if math.factorial(N - k) <= rows)
+    tails = np.array(list(itertools.permutations(range(N - k))), dtype=np.intp)
+    for prefix in itertools.permutations(range(N), k):
+        rest = np.array([s for s in range(N) if s not in prefix], dtype=np.intp)
+        chunk = np.empty((len(tails), N), dtype=np.intp)
+        chunk[:, :k] = prefix
+        chunk[:, k:] = rest[tails]
+        yield chunk
 
 
 def _signed_power_count(N: int, r: int) -> int:
@@ -68,25 +107,30 @@ def _signed_power_count(N: int, r: int) -> int:
     N! unsigned permutations times r compositions, so the caller bounds N
     and r.
 
-    Unsigned permutations are taken in fixed-size chunks and composed as
-    rows of an index array: sigma^(t+1) = sigma o sigma^t by one gather.
-    For those with sigma^r = identity, the walk sigma^0..sigma^(r-1) is
-    composed again, and the sign of the r-fold composite at position j,
-    the product of the sign choices along sigma^0(j)..sigma^(r-1)(j), is
-    evaluated for all 2^N sign vectors of the chunk at once as a +-1
-    integer array.  Memory stays within one chunk for any N and r.
+    Unsigned permutations are taken in chunks (_permutation_chunks) and
+    composed as rows of an index array: sigma^(t+1) = sigma o sigma^t by
+    one gather.  For those with sigma^r = identity, the walk
+    sigma^0..sigma^(r-1) is composed again.  The sign of the r-fold
+    composite at position j is the product of the sign choices along
+    sigma^0(j)..sigma^(r-1)(j).  It is evaluated for all 2^N sign vectors
+    at once as bits, by XOR of the sign-bit columns (_sign_columns) along
+    that walk.  OR over j leaves a bit set for each sign vector whose
+    composite is not the identity, and the zero bits are counted.
+
+    Memory, for any r: the columns, N max(1, 2^N / 64) words, and one
+    chunk, whose sign bits take at most _CHUNK_ELEMENTS words (8 MB) and
+    whose index arrays at most as many entries.
     """
     import numpy as np
 
-    n_masks = 1 << N
-    mask_values = np.arange(n_masks)[:, None]
-    signs = (1 - 2 * ((mask_values >> np.arange(N)) & 1)).astype(np.int8)
-    rows = max(1, _CHUNK_ELEMENTS // (n_masks * N))
+    cols = _sign_columns(N)
+    words = cols.shape[1]
+    used = np.uint64((1 << min(64, 1 << N)) - 1)
+    ones_in_byte = np.unpackbits(
+        np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
     identity = np.arange(N)
-    walk = itertools.permutations(range(N))
-    total = 0
-    while chunk := list(itertools.islice(walk, rows)):
-        base = np.array(chunk, dtype=np.intp)
+    kept = moved = 0
+    for base in _permutation_chunks(N, max(1, _CHUNK_ELEMENTS // (N * words))):
         # row i of base starts at flat index i * N
         starts = np.arange(0, base.size, N)[:, None]
         power = np.broadcast_to(identity, base.shape)
@@ -94,13 +138,15 @@ def _signed_power_count(N: int, r: int) -> int:
             power = base.take(starts + power)
         base = base[(power == identity).all(axis=1)]
         starts = starts[:len(base)]
-        prod = np.ones((n_masks, len(base), N), dtype=np.int8)
+        bits = np.zeros((len(base), N, words), dtype=np.uint64)
         power = np.broadcast_to(identity, base.shape)
         for _ in range(r):
-            prod *= signs[:, power]
+            bits ^= cols[power]
             power = base.take(starts + power)
-        total += int(np.count_nonzero((prod == 1).all(axis=2)))
-    return total
+        off = np.bitwise_or.reduce(bits, axis=1) & used
+        kept += len(base)
+        moved += int(ones_in_byte[off.view(np.uint8)].sum())
+    return (kept << N) - moved
 
 
 def brute_count_r_involutions(n: int, r: int) -> int:
@@ -195,8 +241,10 @@ def _convolve(x: Sequence[int], y: Sequence[int]) -> list[int]:
     for a, ca in enumerate(x):
         if ca:
             for b, cb in right:
-                sign, m = unit_product(a, b)
-                out[m] += sign * ca * cb
+                if (a & b).bit_count() & 1:
+                    out[a ^ b] -= ca * cb
+                else:
+                    out[a ^ b] += ca * cb
     return out
 
 
@@ -341,6 +389,52 @@ def _vectorized_square(C, n: int):
     return out.T
 
 
+# weights of the row hash in _distinct_rows, one per coefficient of MC(5):
+# the powers of an odd 64-bit constant, 2^64 / golden ratio, so all odd
+_HASH_WEIGHTS = tuple(pow(0x9E3779B97F4A7C15, k + 1, 1 << 64) for k in range(32))
+
+
+def _distinct_rows(rows) -> bool:
+    """Whether the rows of a 2-d int64 array are pairwise distinct.
+
+    Each row is hashed to one uint64, its dot product with _HASH_WEIGHTS
+    wrapping modulo 2^64, and the hashes are sorted.  Equal rows have equal
+    hashes, and within each group of equal hashes every pair of rows is
+    compared exactly, so a collision costs time but never the answer.
+    """
+    import numpy as np
+
+    weights = np.array(_HASH_WEIGHTS[:rows.shape[1]], dtype=np.uint64)
+    hashes = rows.view(np.uint64) @ weights
+    order = np.argsort(hashes)
+    hashes = hashes[order]
+    bounds = np.flatnonzero(np.concatenate(
+        ([True], hashes[1:] != hashes[:-1], [True])))
+    shared = np.diff(bounds) > 1
+    for start, stop in zip(bounds[:-1][shared], bounds[1:][shared]):
+        group = rows[order[start:stop]]
+        for i in range(len(group) - 1):
+            if (group[i + 1:] == group[i]).all(axis=1).any():
+                return False
+    return True
+
+
+def _family_rows(n: int) -> dict:
+    """The three special families of MC(n) as int64 arrays, by kind: row p
+    holds 2^(n-1) times the coefficients of the element of pattern p."""
+    import numpy as np
+
+    N = 1 << (n - 1)
+    re_rows, im_rows = _component_basis_rows(n)
+    bits = ((np.arange(1 << N)[:, None] >> np.arange(N)) & 1).astype(np.int64)
+    pm = 1 - 2 * bits
+    return {
+        SpecialSetKind.SQUARE_MINUS_ONE: pm @ im_rows,
+        SpecialSetKind.SQUARE_ONE: pm @ re_rows,
+        SpecialSetKind.IDEMPOTENT: bits @ re_rows,
+    }
+
+
 def verify_special_sets(n: int) -> VerificationReport:
     """Exact verification of the three special families of MC(n).
 
@@ -356,25 +450,13 @@ def verify_special_sets(n: int) -> VerificationReport:
 
     if not 1 <= n <= 5:
         raise ValueError("n must be between 1 and 5")
-    N = 1 << (n - 1)
     width = 1 << n
     scale = 1 << (n - 1)
-    count = 1 << N
-    re_rows, im_rows = _component_basis_rows(n)
-
-    patterns = np.arange(count)
-    bits = ((patterns[:, None] >> np.arange(N)[None, :]) & 1).astype(np.int64)
-    pm = 1 - 2 * bits
-
-    family_rows = {
-        SpecialSetKind.SQUARE_MINUS_ONE: pm @ im_rows,
-        SpecialSetKind.SQUARE_ONE: pm @ re_rows,
-        SpecialSetKind.IDEMPOTENT: bits @ re_rows,
-    }
+    count = 1 << (1 << (n - 1))
     # at n = 5 a family array is 16 MB: the families stay to the end, and
     # what is derived from them is taken in row blocks, so that it stays
     # within a block at any n
-    del patterns, bits, pm
+    family_rows = _family_rows(n)
     blocks = [slice(start, start + _SQUARE_ROWS)
               for start in range(0, count, _SQUARE_ROWS)]
 
@@ -421,7 +503,7 @@ def verify_special_sets(n: int) -> VerificationReport:
                 ),
             })
         checks += 1
-        if len({row.tobytes() for row in rows}) != count:
+        if len(rows) != count or not _distinct_rows(rows):
             return VerificationReport(False, checks, {
                 "law": f"cardinality of {kind.value}",
                 "expected": count,

@@ -424,6 +424,22 @@ PINNED_STDOUT = [
      "b8b6b20a0d0623330ed4ad51c7a32dc62aa489fc30407df97dbbd27e8a990f70"),
     (("verify", "--suite", "special", "--n", "5"),
      "c864b499583fe5fecd2a7186f54511b357c2e19ca2becf20243e7f87980b9dcd"),
+    (("verify", "--suite", "involutions", "--n", "1"),
+     "f708321be67a5ddd162fa612cbf7cc881ae38ef4faabe4688bb2af864763824f"),
+    (("verify", "--suite", "involutions", "--n", "2"),
+     "35192fa7aefbddb63bc25e6e8c15c05fbe78901576e10e48c9420bea8ce73c20"),
+    (("verify", "--suite", "involutions", "--n", "3"),
+     "54f22836b572e2b2b13321c03d574476e92a3068221a812d95dc450f10330417"),
+    (("verify", "--suite", "involutions", "--n", "4"),
+     "7f3e96de053e148c8c19d476eef7b87a19b5a85a0237d9755d963c2863158f02"),
+    (("verify", "--suite", "r-involutions", "--n", "4", "--r", "3"),
+     "57efae2cea53d8d5b68f19bea63e36485e35895d0cc0e869f3e563a091ad5a39"),
+    (("verify", "--suite", "r-involutions", "--n", "4", "--r", "4"),
+     "54008aba435ef777fd781208570aabd6abbd406a6f0cdbbb911138014e80fcff"),
+    (("verify", "--suite", "r-involutions", "--n", "4", "--r", "6"),
+     "9c281bc614d6460157fbacefc67d939819eada59c32e792a8659cf41364587cd"),
+    (("verify", "--suite", "all", "--n", "3"),
+     "0cce6fb7366c5bafcc55bd832098a822df49b408a130562a6018a9c72814b552"),
 ]
 
 

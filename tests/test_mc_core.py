@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from multicomplex import (
     Automorphism,
     DyadicRational,
+    IdempotentVector,
     MulticomplexNumber,
     componentwise_mul,
     from_idempotent,
@@ -335,3 +336,35 @@ class TestTransformProduct:
         assert created == []
         DyadicRational(1)
         assert created == [(1,)]
+
+
+def kernel_results(x, y, lam, f):
+    """Every value that a kernel result is built for without the public
+    constructor's checks, from operands x, y, a scalar and a map."""
+    vx, vy = to_idempotent(x), to_idempotent(y)
+    return [x + y, x - y, -x, x * y, x.scale(lam),
+            MulticomplexNumber.unit(len(x.nums) - 1, x.order),
+            vx, from_idempotent(vx), componentwise_mul(vx, vy), f.apply(x)]
+
+
+def maps(n):
+    """Automorphisms of MC(n): a shuffled, sign-flipped component order."""
+    N = 1 << (n - 1)
+    return st.tuples(st.permutations(range(1, N + 1)),
+                     st.lists(st.booleans(), min_size=N, max_size=N)).map(
+        lambda ps: Automorphism.from_text(n, ",".join(
+            str(-p if flip else p) for p, flip in zip(*ps))))
+
+
+class TestKernelResults:
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        operands(n), operands(n), dyadics(), maps(n))))
+    def test_equal_the_public_constructor(self, case):
+        for z in kernel_results(*case):
+            cls = type(z)
+            assert cls in (MulticomplexNumber, IdempotentVector)
+            rebuilt = cls(z.order, z.nums, z.exp)
+            assert type(z.nums) is tuple
+            assert (z.order, z.nums, z.exp) == (rebuilt.order, rebuilt.nums,
+                                                rebuilt.exp)
+            assert z == rebuilt and hash(z) == hash(rebuilt)

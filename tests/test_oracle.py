@@ -19,6 +19,7 @@ from multicomplex import (
     count_preserving,
     count_r_involutions,
     count_signed_involutions,
+    count_signed_r_involutions,
     enumerate_automorphisms,
     enumerate_preserving_involutions,
     from_idempotent,
@@ -29,6 +30,14 @@ from multicomplex import (
     verify_special_sets,
 )
 from multicomplex.gf2_preserving import matrix_unit_data
+
+
+@pytest.fixture(autouse=True)
+def numpy_before_2(monkeypatch):
+    """Every test here runs without np.bitwise_count, which numpy has only
+    from 2.0: the oracle must work on numpy 1.24, the floor in
+    pyproject.toml."""
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
 
 
 def loop_square(C, n):
@@ -107,18 +116,44 @@ class TestReplacedLoops:
             rows = np.asfortranarray(rows)
         assert np.array_equal(oracle._vectorized_square(rows, n), loop_square(rows, n))
 
+    # N <= 5 leaves part of the one word of sign vectors unused
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("r", range(1, 13))
     def test_signed_power_count_matches_loop(self, N, r):
         assert oracle._signed_power_count(N, r) == loop_signed_power_count(N, r)
 
     def test_signed_power_count_matches_loop_on_eight_symbols(self):
         assert oracle._signed_power_count(8, 2) == loop_signed_power_count(8, 2)
 
+    @pytest.mark.parametrize("r", [3, 4, 6])
+    def test_signed_power_count_on_eight_symbols(self, r):
+        # four words of sign vectors per symbol
+        assert oracle._signed_power_count(8, r) == count_signed_r_involutions(8, r)
+
+    @pytest.mark.parametrize("N", [1, 5, 6, 7, 8])
+    def test_sign_columns(self, N):
+        cols = oracle._sign_columns(N)
+        assert cols.shape == (N, max(1, (1 << N) // 64))
+        for p in range(N):
+            # bit m of the column, for every m past the first word too
+            word_bits = [(int(w) >> b) & 1 for w in cols[p] for b in range(64)]
+            assert all(word_bits[m] == (m >> p) & 1 for m in range(1 << N))
+
     def test_chunks_split_the_walk(self, monkeypatch):
-        # a chunk of a few permutations each still counts every one of them
-        monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", 3 * 16 * 4)
-        assert oracle._signed_power_count(4, 2) == loop_signed_power_count(4, 2)
+        # chunks of a few permutations each still count every one of them:
+        # 3 permutations' worth of words at N = 4 gives chunks of 2! tails
+        monkeypatch.setattr(oracle, "_CHUNK_ELEMENTS", 3 * 4)
+        assert [len(c) for c in oracle._permutation_chunks(4, 3)] == [2] * 12
+        for r in (2, 3, 4):
+            assert oracle._signed_power_count(4, r) == loop_signed_power_count(4, r)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    @pytest.mark.parametrize("rows", [1, 2, 5, 6, 200])
+    def test_permutation_chunks_walk_every_permutation_once(self, N, rows):
+        chunks = list(oracle._permutation_chunks(N, rows))
+        assert all(len(c) <= rows for c in chunks)
+        walked = [tuple(int(v) for v in row) for c in chunks for row in c]
+        assert walked == list(itertools.permutations(range(N)))
 
 
 class TestBrutePreserving:
@@ -386,6 +421,17 @@ def probe_from_basis(kind, n, indices):
         yield idx, MulticomplexNumber(n, row.tolist(), n - 1)
 
 
+def duplicated_row(kind):
+    """oracle._family_rows with row 3 of one family replaced by row 2."""
+    family_rows = oracle._family_rows
+
+    def spoiled(n):
+        families = family_rows(n)
+        families[kind][3] = families[kind][2]
+        return families
+    return spoiled
+
+
 class TestVerifySpecialSets:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_families_verify(self, n):
@@ -445,6 +491,38 @@ class TestVerifySpecialSets:
             "element": str(MulticomplexNumber(n, bad_row.tolist(), n - 1)),
             "square": "17/16",
         }
+
+    @pytest.mark.parametrize("kind", list(SpecialSetKind))
+    def test_duplicated_row_fails_the_cardinality(self, kind, monkeypatch):
+        # pattern 2 repeated as pattern 3: every square still holds and no
+        # spot check reads either pattern
+        monkeypatch.setattr(oracle, "_family_rows", duplicated_row(kind))
+        report = verify_special_sets(3)
+        assert report.failure == {"law": f"cardinality of {kind.value}",
+                                  "expected": 16}
+
+    def test_colliding_hashes_are_compared_exactly(self, monkeypatch):
+        # with every hash equal, every pair of rows is compared
+        monkeypatch.setattr(oracle, "_HASH_WEIGHTS", (0,) * 32)
+        assert verify_special_sets(3).ok
+        monkeypatch.setattr(oracle, "_family_rows",
+                            duplicated_row(SpecialSetKind.SQUARE_ONE))
+        report = verify_special_sets(3)
+        assert report.failure["law"] == "cardinality of one"
+
+    def test_distinct_rows(self, monkeypatch):
+        rows = np.array([[1, 2], [3, 4], [1, 2]], dtype=np.int64)
+        assert not oracle._distinct_rows(rows)
+        assert oracle._distinct_rows(rows[:2])
+        monkeypatch.setattr(oracle, "_HASH_WEIGHTS", (0,) * 32)
+        # one group of three: the equal rows are not neighbours in it
+        assert not oracle._distinct_rows(rows)
+        assert oracle._distinct_rows(rows[:2])
+        assert oracle._distinct_rows(np.arange(12, dtype=np.int64).reshape(6, 2))
+
+    def test_hash_weights(self):
+        assert len(set(oracle._HASH_WEIGHTS)) == 32
+        assert all(w % 2 and 0 < w < 1 << 64 for w in oracle._HASH_WEIGHTS)
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
