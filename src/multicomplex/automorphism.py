@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .idempotent import (
     IdempotentVector,
@@ -27,7 +28,6 @@ from .mc_core import MulticomplexNumber, _from_kernel
 __all__ = [
     "SignedPermutation",
     "Automorphism",
-    "CycleType",
     "enumerate_automorphisms",
     "enumerate_r_involutions",
 ]
@@ -37,13 +37,14 @@ __all__ = [
 class SignedPermutation:
     """An element of B_N: a bijection pi of {-N..-1, 1..N} with pi(-j) = -pi(j).
 
-    Only the images of 1..N are stored, as signed integers.
+    Only the images of 1..N are stored, as signed ints (a bool is read as
+    0 or 1, a float is rejected).
     """
 
     images: tuple[int, ...]
 
     def __post_init__(self):
-        imgs = tuple(self.images)
+        imgs = tuple(map(operator.index, self.images))
         n = len(imgs)
         if sorted(abs(v) for v in imgs) != list(range(1, n + 1)) or 0 in imgs:
             raise ValueError(f"not a signed permutation: {imgs}")
@@ -99,13 +100,6 @@ class SignedPermutation:
             cycles.append((length, sign))
         return cycles
 
-    def cycle_type(self) -> "CycleType":
-        """Cycle type of the underlying unsigned permutation."""
-        mult: dict[int, int] = {}
-        for length, _ in self.signed_cycles():
-            mult[length] = mult.get(length, 0) + 1
-        return CycleType(mult)
-
     def order(self) -> int:
         """Smallest t with pi^t = identity.
 
@@ -136,42 +130,6 @@ class SignedPermutation:
 
     def __repr__(self) -> str:
         return f"SignedPermutation({self.to_text()})"
-
-
-@dataclass(frozen=True, slots=True)
-class CycleType:
-    """A multiset of cycle lengths: maps length k to its multiplicity."""
-
-    multiplicities: Mapping[int, int]
-
-    def __post_init__(self):
-        mult = {int(k): int(m) for k, m in self.multiplicities.items() if m}
-        if any(k < 1 or m < 0 for k, m in mult.items()):
-            raise ValueError(f"bad cycle type: {self.multiplicities}")
-        object.__setattr__(self, "multiplicities", mult)
-
-    def total(self) -> int:
-        """Number of symbols moved or fixed: sum of k * multiplicity."""
-        return sum(k * m for k, m in self.multiplicities.items())
-
-    def count(self, k: int) -> int:
-        return self.multiplicities.get(k, 0)
-
-    def permutation_count(self) -> int:
-        """Number of permutations of S_total with this cycle type."""
-        n = self.total()
-        denom = 1
-        for k, m in self.multiplicities.items():
-            denom *= k ** m * math.factorial(m)
-        return math.factorial(n) // denom
-
-    def __hash__(self) -> int:
-        # the field is a dict, which does not hash
-        return hash(tuple(sorted(self.multiplicities.items())))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{k}^{m}" for k, m in sorted(self.multiplicities.items()))
-        return f"CycleType({inner})"
 
 
 @dataclass(frozen=True, slots=True)
@@ -225,12 +183,6 @@ class Automorphism:
 
     def is_involution(self) -> bool:
         return self.element_order() <= 2
-
-    def is_r_involution(self, r: int) -> bool:
-        """True iff applying the map r times gives the identity."""
-        if r < 1:
-            raise ValueError("r must be positive")
-        return r % self.element_order() == 0
 
     def unit_images(self) -> list[MulticomplexNumber]:
         """The images of the generating units i_1..i_n."""

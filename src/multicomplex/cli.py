@@ -29,6 +29,7 @@ from .automorphism import (
 from .gf2_preserving import enumerate_preserving_involutions, matrix_unit_data
 from .mc_core import MulticomplexNumber, unit_name
 from .oracle import (
+    brute_count_preserving,
     brute_count_r_involutions,
     verify_homomorphism,
     verify_special_sets,
@@ -45,6 +46,12 @@ FORMATS = ("json", "csv", "markdown")
 DEFAULT_BUDGET = 10 ** 10
 # operations per interpreted Python step on one coefficient, symbol or row
 _STEP = 1000
+# the brute-force sign walk: operations per composition (its numpy calls)
+# and per permutation and symbol composed
+_COMPOSE = 10 ** 4
+_COMPOSE_SYMBOL = 30
+# verify --suite preserving adds brute_count_preserving up to this n
+_BRUTE_PRESERVING_MAX_N = 4
 # n and N count as at most this in the exponentials 2^n, N = 2^(n-1), 2^N, N!
 _CEILING = 64
 # divisors of r are looked for up to here
@@ -211,8 +218,10 @@ def _work(args) -> int:
                                           A = 2^(n+2) - 1 + P applies and
                                           P = 2^(n-1) (2^n + 1) products
                                           per map
-      verify involutions, r-involutions   N! r N steps + R(N, r), r = 2
-      verify preserving                   P(n) n N steps
+      verify involutions, r-involutions   r (_COMPOSE + _COMPOSE_SYMBOL N! N)
+                                          + R(N, r), r = 2 for involutions
+      verify preserving                   P(n) n N steps, plus n 2^(n^2)
+                                          steps for n <= 4: the brute count
       verify all                          the sum of its suites
 
     R(N, r) is _recurrence_ops.  Exponentials stop at _CEILING, which keeps
@@ -221,14 +230,19 @@ def _work(args) -> int:
     Measured on a 2-core x86-64 host with CPython 3.11: R(N, r) takes 1 to
     3.5 ns per limb product (N = 256..131072, r = 2..720720), count
     preserving 2 to 5 ns per operation (n = 100..520), the step formulas
-    0.015 to 6 us per step.  The default budget, 10^10, admits calls of up
-    to 19 s: count involutions --n 18 (9.7e9) and count preserving --n 520
-    (9.3e9) took 19 s; verify --suite automorphisms --n 3 (5.8e9) took
-    0.5 to 0.7 s, apply --n 16 (8.4e9) 1.3 s, enumerate preserving --n 5
-    (1.2e9) 1.4 s, verify --suite special --n 5 (4.0e8) 0.4 to 0.5 s and
-    verify --suite involutions --n 4 (6.5e8) 0.01 s, each run in-process
-    through run().
-    It refuses count r-involutions --n 13 --r 720720 (4.8e10, 80 s) and
+    0.015 to 6 us per step, and the sign walk of verify involutions and
+    r-involutions 5 to 10 us per composition and 16 to 30 ns per
+    permutation and symbol (r = 10^5 took 0.50 s at N = 1, r = 60 took
+    0.31 s at N = 8; past N = 8 the walk scores above 10^16).
+    The default budget, 10^10, admits calls of up to 19 s: count
+    involutions --n 18 (9.7e9) and count preserving --n 520 (9.3e9) took
+    19 s; verify --suite r-involutions --n 4 --r 840 (8.1e9) 5 to 7 s,
+    verify --suite automorphisms --n 3 (5.8e9) 0.5 to 0.7 s, apply --n 16
+    (8.4e9) 1.3 s, enumerate preserving --n 5 (1.2e9) 1.4 s, verify
+    --suite special --n 5 (4.0e8) 0.4 to 0.5 s and verify --suite
+    preserving --n 4 (2.8e8) 0.1 s, each run in-process through run().
+    It refuses count r-involutions --n 13 --r 720720 (4.8e10, 80 s),
+    verify --suite r-involutions --n 3 --r 1000000 (1.3e10) and
     enumerate automorphisms --n 4 (8.3e10).
     """
     if args.command == "table":
@@ -273,9 +287,12 @@ def _work(args) -> int:
             work += group * (applies * element + products * 4 ** e * _STEP)
         elif suite == "preserving":
             work += counting.count_preserving(e) * n * N * _STEP
+            if n <= _BRUTE_PRESERVING_MAX_N:
+                work += n * (1 << n * n) * _STEP
         else:
             r = 2 if suite == "involutions" else _need(args.r, "--r")
-            work += math.factorial(G) * r * N * _STEP + _recurrence_ops(N, r)
+            walk = _COMPOSE + _COMPOSE_SYMBOL * math.factorial(G) * N
+            work += r * walk + _recurrence_ops(N, r)
     return work
 
 
@@ -412,12 +429,17 @@ def _verify_one(suite: str, n: int, r: int | None) -> dict:
         for _, auto in enumerate_preserving_involutions(n):
             seen += 1
             all_involutions = all_involutions and auto.is_involution()
-        return {
+        result = {
             "ok": seen == expected and all_involutions,
             "count": seen,
             "expected": expected,
             "all_involutions": all_involutions,
         }
+        # the walk over every tuple of generator images stops at n = 4
+        if n <= _BRUTE_PRESERVING_MAX_N:
+            result["brute"] = brute_count_preserving(n)
+            result["ok"] = result["ok"] and result["brute"] == expected
+        return result
     raise _UsageError(f"unknown suite {suite}")
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from typing import Iterator
 
-from .automorphism import CycleType
 from .idempotent import _n_components
 
 __all__ = [
@@ -110,13 +109,15 @@ def _divisors_up_to(r: int, cap: int) -> list[int]:
     return [d for d in range(1, min(r, cap) + 1) if r % d == 0]
 
 
-def cycle_types_with_parts_dividing(N: int, r: int) -> Iterator[CycleType]:
-    """All cycle types of S_N whose cycle lengths each divide r."""
+def cycle_types_with_parts_dividing(N: int, r: int) -> Iterator[dict[int, int]]:
+    """All cycle types of S_N whose cycle lengths each divide r, each as a
+    dict from cycle length to its multiplicity, with no zero entries."""
     parts = _divisors_up_to(r, N)
 
-    def rec(remaining: int, idx: int, current: dict[int, int]) -> Iterator[CycleType]:
+    def rec(remaining: int, idx: int,
+            current: dict[int, int]) -> Iterator[dict[int, int]]:
         if remaining == 0:
-            yield CycleType(dict(current))
+            yield dict(current)
             return
         if idx < 0:
             return

@@ -32,7 +32,8 @@ deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from .automorphism import Automorphism, SignedPermutation
@@ -149,28 +150,28 @@ def _rank(matrix: GF2Matrix) -> int:
 
 @dataclass(frozen=True, slots=True)
 class GF2Subspace:
-    """A subspace of GF(2)^width, stored as a canonical RREF basis.
+    """A subspace of GF(2)^width, spanned by any vectors and stored as its
+    canonical RREF basis.
 
     The basis rows are sorted by pivot position (lowest set bit), and each
     pivot column contains a single 1, so equal subspaces compare equal.
-    The pivots follow from the basis.
+    The pivots are derived from the basis.
     """
 
     width: int
     basis: tuple[int, ...]
-    pivots: tuple[int, ...]
+    pivots: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", tuple(self.basis))
-        object.__setattr__(self, "pivots", tuple(self.pivots))
-
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[int], width: int) -> "GF2Subspace":
-        vectors = list(vectors)
-        if any(v >> width for v in vectors):
+        object.__setattr__(self, "width", operator.index(self.width))
+        if self.width < 0:
+            raise ValueError("width must be non-negative")
+        vectors = list(self.basis)
+        if any(v >> self.width for v in vectors):
             raise ValueError("vector bits beyond width")
-        basis, pivots = _rref(vectors, width)
-        return cls(width, basis, pivots)
+        basis, pivots = _rref(vectors, self.width)
+        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def dimension(self) -> int:
@@ -247,7 +248,7 @@ def enumerate_subspaces_containing_e(n: int, k: int) -> Iterator[GF2Subspace]:
                 if (r >> p) & 1:
                     r ^= row
             if r == 0:
-                yield GF2Subspace(n, basis, pivcols)
+                yield GF2Subspace(n, basis)
 
 
 def _independent_tuples(space: GF2Subspace, count: int) -> Iterator[tuple[int, ...]]:
@@ -261,7 +262,7 @@ def _independent_tuples(space: GF2Subspace, count: int) -> Iterator[tuple[int, .
         if len(chosen) == count:
             yield tuple(chosen)
             return
-        span = GF2Subspace.from_vectors(chosen, space.width)
+        span = GF2Subspace(space.width, chosen)
         for v in elems:
             if not span.contains(v):
                 chosen.append(v)
@@ -417,9 +418,7 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
             complement = []
             for j in range(n):
                 cand = 1 << j
-                probe = GF2Subspace.from_vectors(
-                    list(kernel.basis) + complement + [cand], n
-                )
+                probe = GF2Subspace(n, [*kernel.basis, *complement, cand])
                 if probe.dimension == k + len(complement) + 1:
                     complement.append(cand)
                 if len(complement) == n - k:

@@ -17,6 +17,7 @@ operation: the ring arithmetic happens on the vectors.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .mc_core import (
@@ -80,6 +81,7 @@ class IdempotentVector:
     exp: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "order", operator.index(self.order))
         if self.order < 1:
             raise ValueError("order must be at least 1")
         nums, exp = _integer_vector(self.nums, self.exp)

@@ -18,11 +18,11 @@ and reading single coefficients.  All values here are immutable.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from dataclasses import dataclass
 from functools import reduce
-from operator import or_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 __all__ = [
     "DyadicRational",
@@ -56,14 +56,23 @@ class DyadicRational:
     the integer vectors of MulticomplexNumber; a view only negates, for
     conjugation, and adds.
 
-    Invariants: the exponent is non-negative, and either it is zero or the
-    numerator is odd; zero is stored as 0 / 2^0.
+    Invariants: both fields are ints (a bool is read as 0 or 1), the
+    exponent is non-negative, and either it is zero or the numerator is
+    odd; zero is stored as 0 / 2^0.
     """
 
     num: int
     exp: int = 0
 
     def __post_init__(self):
+        if type(self.num) is not int or type(self.exp) is not int:
+            for name in ("num", "exp"):
+                value = getattr(self, name)
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                except TypeError:
+                    raise TypeError(f"DyadicRational {name} must be an integer, "
+                                    f"got {type(value).__name__}") from None
         if self.exp < 0:
             raise ValueError("exponent must be non-negative")
         if self.exp and not self.num & 1:
@@ -147,7 +156,7 @@ def _integer_vector(values: Iterable, exp: int) -> tuple[tuple[int, ...], int]:
 def _lowest_terms(nums, exp: int) -> tuple[tuple[int, ...], int]:
     """The int vector nums / 2^exp, exp >= 0, with the factors of two that
     all of nums share stripped."""
-    shift = _twos(reduce(or_, nums, 0), exp) if exp else 0
+    shift = _twos(reduce(operator.or_, nums, 0), exp) if exp else 0
     if shift:
         return tuple([v >> shift for v in nums]), exp - shift
     return tuple(nums), exp
@@ -274,6 +283,7 @@ class MulticomplexNumber:
     exp: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "order", operator.index(self.order))
         if self.order < 1:
             raise ValueError("order must be at least 1")
         nums, exp = _integer_vector(self.nums, self.exp)
@@ -378,11 +388,6 @@ class MulticomplexNumber:
     def coeffs(self) -> tuple[DyadicRational, ...]:
         """All 2^n coefficients, in mask order."""
         return tuple(DyadicRational(a, self.exp) for a in self.nums)
-
-    def support(self) -> Iterator[tuple[int, DyadicRational]]:
-        """Nonzero (mask, coefficient) pairs in increasing mask order."""
-        return ((m, DyadicRational(a, self.exp))
-                for m, a in enumerate(self.nums) if a)
 
     # ---- rendering and JSON ----
 

@@ -386,7 +386,9 @@ class TestApply:
 
 
 # sha256 of stdout, pinned before the preserving generator moved to one
-# GF(2) solve per unit block and the special-set identities to row order
+# GF(2) solve per unit block and the special-set identities to row order;
+# verify --suite preserving (and all) for n <= 4 re-pinned when the suite
+# gained its "brute" field
 PINNED_STDOUT = [
     (("enumerate", "preserving", "--n", "1"),
      "a713caa109a0fda9d4ecd0372dfdacd0a179585442bd61a121b997b035d98b08"),
@@ -405,13 +407,13 @@ PINNED_STDOUT = [
     (("verify", "--suite", "automorphisms", "--n", "3"),
      "fb5b3e7012b700996a4ff2c02dff453e37aa829d6e4bef85fb954ab521bf9554"),
     (("verify", "--suite", "preserving", "--n", "1"),
-     "bc88bd4650350b99787f4afc50cf9c70e30bc7677ab071c34de41574c2dd183b"),
+     "ad1e370a033b6b57fe5f8d7d6db4a7992efacd451bb819e0409847b58441ef39"),
     (("verify", "--suite", "preserving", "--n", "2"),
-     "9680efa2213edf59f7f95631cc7233af8cb9ce6c3be050f4419053440564ab68"),
+     "c6d4321a0fa16ca732cd9d5d93ea2a67d0b29ba2cd793408b89ae190af5bd76c"),
     (("verify", "--suite", "preserving", "--n", "3"),
-     "f2c4075eb2ce07b3e6459512810367ccdacbfba1d5d5f984ebbdda2133ec56ec"),
+     "652181a62948b2e0996e6cef5ebcf35c498a6eceb7bb9e603244cb9a3c095121"),
     (("verify", "--suite", "preserving", "--n", "4"),
-     "4353f28413fe3e5cbd36e68df4ac27fcda688a636e1b6e64f17f2f493eecb490"),
+     "2586b1983b550907dfddb240251f33718b0783a1dd127a39d14992d9d983183d"),
     (("verify", "--suite", "preserving", "--n", "5"),
      "29bbb15b8badf67fae7adeaa68277da1684fbb977bdc0cb022cd3811841808eb"),
     (("verify", "--suite", "special", "--n", "1"),
@@ -439,7 +441,7 @@ PINNED_STDOUT = [
     (("verify", "--suite", "r-involutions", "--n", "4", "--r", "6"),
      "9c281bc614d6460157fbacefc67d939819eada59c32e792a8659cf41364587cd"),
     (("verify", "--suite", "all", "--n", "3"),
-     "0cce6fb7366c5bafcc55bd832098a822df49b408a130562a6018a9c72814b552"),
+     "599627e56fa72860698cf53c30e87e390a932c4fed0c7db30654efbc1cba4425"),
 ]
 
 
@@ -478,7 +480,16 @@ class TestVerify:
                               "--n", "3")
         assert code == 0
         payload = json.loads(out)["suites"]["preserving"]
-        assert payload["count"] == payload["expected"] == 44
+        assert payload["count"] == payload["expected"] == payload["brute"] == 44
+
+    def test_preserving_brute_count_is_checked(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "brute_count_preserving", lambda n: 45)
+        code, out, _ = invoke(capsys, "verify", "--suite", "preserving",
+                              "--n", "3")
+        assert code == 2
+        payload = json.loads(out)["suites"]["preserving"]
+        assert payload == {"ok": False, "count": 44, "expected": 44,
+                           "all_involutions": True, "brute": 45}
 
     def test_r_suite_needs_r(self, capsys):
         code, _, err = invoke(capsys, "verify", "--suite", "r-involutions",
@@ -609,6 +620,7 @@ class TestBudget:
         ("table", "--max-n", "16"),
         ("verify", "--suite", "involutions", "--n", "4"),
         ("verify", "--suite", "r-involutions", "--n", "3", "--r", "12"),
+        ("verify", "--suite", "r-involutions", "--n", "4", "--r", "60"),
         ("verify", "--suite", "special", "--n", "5"),
         ("verify", "--suite", "automorphisms", "--n", "3"),
         ("verify", "--suite", "preserving", "--n", "5"),
@@ -626,7 +638,6 @@ class TestBudget:
         ("verify", "--suite", "preserving", "--n", "7"),
         ("enumerate", "automorphisms", "--n", "4"),
         ("verify", "--suite", "r-involutions", "--n", "3", "--r", "1000000"),
-        ("verify", "--suite", "r-involutions", "--n", "4", "--r", "840"),
         ("count", "r-involutions", "--n", "13", "--r", "720720"),
         ("count", "signed-r-involutions", "--N-symbols", "4", "--r", "2", "--budget", "0"),
         ("apply", "--n", "100", "--perm", "1", "--input", "unread.json"),

@@ -28,6 +28,14 @@ from multicomplex.oracle import brute_count_r_involutions
 INVOLUTION_TABLE = {1: 2, 2: 6, 3: 76, 4: 32400, 5: 50305536256}
 
 
+def permutation_count(ctype: dict[int, int]) -> int:
+    """Number of permutations with the cycle type {length: multiplicity}."""
+    denom = 1
+    for k, m in ctype.items():
+        denom *= k ** m * math.factorial(m)
+    return math.factorial(sum(k * m for k, m in ctype.items())) // denom
+
+
 def cycle_type_sum(N: int, r: int) -> int:
     """Signed permutations on N symbols with pi^r = identity, summed over
     cycle types with parts dividing r: the reference for the recurrence.
@@ -37,8 +45,8 @@ def cycle_type_sum(N: int, r: int) -> int:
     """
     total = 0
     for ctype in cycle_types_with_parts_dividing(N, r):
-        halved = sum(m for k, m in ctype.multiplicities.items() if (r // k) % 2 == 1)
-        term, rem = divmod(ctype.permutation_count() << N, 1 << halved)
+        halved = sum(m for k, m in ctype.items() if (r // k) % 2 == 1)
+        term, rem = divmod(permutation_count(ctype) << N, 1 << halved)
         assert rem == 0
         total += term
     return total
@@ -176,20 +184,27 @@ class TestRInvolutionCounts:
 class TestCycleTypes:
     def test_parts_divide_r(self):
         for ctype in cycle_types_with_parts_dividing(6, 4):
-            assert all(4 % k == 0 for k in ctype.multiplicities)
-            assert ctype.total() == 6
+            assert all(4 % k == 0 and m > 0 for k, m in ctype.items())
+            assert sum(k * m for k, m in ctype.items()) == 6
 
     def test_involution_types_of_four_symbols(self):
         types = list(cycle_types_with_parts_dividing(4, 2))
-        assert len(types) == 3
-        total = sum(t.permutation_count() for t in types)
+        assert sorted(sorted(t.items()) for t in types) == [
+            [(1, 2), (2, 1)], [(1, 4)], [(2, 2)]
+        ]
         # all involutions of S_4 plus the identity
-        assert total == 10
+        assert sum(permutation_count(t) for t in types) == 10
+
+    def test_every_type_of_four_symbols(self):
+        # 12 is divisible by every cycle length of S_4
+        counts = {tuple(sorted(t.items())): permutation_count(t)
+                  for t in cycle_types_with_parts_dividing(4, 12)}
+        assert counts == {((1, 4),): 1, ((1, 2), (2, 1)): 6, ((2, 2),): 3,
+                          ((1, 1), (3, 1)): 8, ((4, 1),): 6}
+        assert sum(counts.values()) == math.factorial(4)
 
     def test_r_one_forces_fixed_points(self):
-        types = list(cycle_types_with_parts_dividing(5, 1))
-        assert len(types) == 1
-        assert types[0].multiplicities == {1: 5}
+        assert list(cycle_types_with_parts_dividing(5, 1)) == [{1: 5}]
 
 
 class TestSubspaceCounts:

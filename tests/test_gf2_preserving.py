@@ -167,22 +167,82 @@ class TestRankKernelSolve:
                 solve(m, target)
 
 
+def span(vectors):
+    """Every GF(2) combination of the vectors, by brute force."""
+    out = {0}
+    for v in vectors:
+        out |= {x ^ v for x in out}
+    return out
+
+
+@st.composite
+def spanning_sets(draw, max_width=6):
+    width = draw(st.integers(1, max_width))
+    vectors = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=width + 2))
+    return width, vectors
+
+
 class TestSubspace:
     def test_canonical_basis(self):
-        s = GF2Subspace.from_vectors([0b111, 0b110, 0b001], 3)
-        t = GF2Subspace.from_vectors([0b001, 0b110], 3)
+        s = GF2Subspace(3, [0b111, 0b110, 0b001])
+        t = GF2Subspace(3, [0b001, 0b110])
         assert s == t
+        assert s.basis == (0b001, 0b110) and s.pivots == (0, 1)
         assert s.dimension == 2
 
+    def test_equal_spans_are_equal(self):
+        assert GF2Subspace(2, [0b01, 0b11]) == GF2Subspace(2, [0b01, 0b10])
+        assert GF2Subspace(2, [0b11, 0b11, 0]) == GF2Subspace(2, [0b11])
+
+    def test_pivots_are_derived(self):
+        with pytest.raises(TypeError):
+            GF2Subspace(2, [0b11], [5])
+        assert GF2Subspace(2, [0b11]).contains(0b11)
+
+    def test_width_and_bits_are_checked(self):
+        with pytest.raises(ValueError):
+            GF2Subspace(2, [0b100])
+        with pytest.raises(ValueError):
+            GF2Subspace(2, [-1])
+        with pytest.raises(ValueError):
+            GF2Subspace(-1, [])
+        with pytest.raises(TypeError):
+            GF2Subspace(2.0, [0b11])
+        assert type(GF2Subspace(True, [1]).width) is int
+
     def test_contains_and_reduce(self):
-        s = GF2Subspace.from_vectors([0b011, 0b100], 3)
+        s = GF2Subspace(3, [0b011, 0b100])
         assert s.contains(0b111)
         assert not s.contains(0b001)
         assert s.reduce(0b111) == 0
 
     def test_spanned_size(self):
-        s = GF2Subspace.from_vectors([0b011, 0b100], 3)
+        s = GF2Subspace(3, [0b011, 0b100])
         assert sorted(s.spanned()) == [0b000, 0b011, 0b100, 0b111]
+
+    @given(spanning_sets(), st.data())
+    def test_recombined_spanning_sets_agree(self, case, data):
+        width, vectors = case
+        # add to each vector a combination of the ones after it: an
+        # invertible (unitriangular) recombination, so the span is unchanged
+        mixed = list(vectors)
+        for i in range(len(mixed)):
+            for j in range(i + 1, len(mixed)):
+                if data.draw(st.booleans()):
+                    mixed[i] ^= mixed[j]
+        order = data.draw(st.permutations(mixed))
+        s, t = GF2Subspace(width, vectors), GF2Subspace(width, order)
+        assert s == t and hash(s) == hash(t)
+
+    @given(spanning_sets(), st.data())
+    def test_contains_matches_brute_span(self, case, data):
+        width, vectors = case
+        members = span(vectors)
+        s = GF2Subspace(width, vectors)
+        assert len(members) == 1 << s.dimension
+        assert set(s.spanned()) == members
+        for v in range(1 << width):
+            assert s.contains(v) == (v in members)
 
 
 class TestSubspaceEnumeration:
@@ -226,12 +286,11 @@ class TestSubspaceEnumeration:
                     assert len(tuples) == expected
                     assert tuples == sorted(tuples)
                     for t in tuples:
-                        span = GF2Subspace.from_vectors(t, n)
-                        assert span.dimension == len(t)
+                        assert GF2Subspace(n, t).dimension == len(t)
                         assert all(kernel.contains(v) for v in t)
 
     def test_zero_count_tuple(self):
-        s = GF2Subspace.from_vectors([0b11], 2)
+        s = GF2Subspace(2, [0b11])
         assert list(_independent_tuples(s, 0)) == [()]
 
 

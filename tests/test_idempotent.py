@@ -58,6 +58,11 @@ class TestIdempotentVector:
         with pytest.raises(ValueError):
             IdempotentVector(3, [1, 0] * 3)
 
+    def test_order_is_an_int(self):
+        assert type(IdempotentVector(True, [1, 2]).order) is int
+        with pytest.raises(TypeError):
+            IdempotentVector(1.0, [1, 2])
+
     def test_component_type_enforced(self):
         # numbers, two per component: components are views, not input
         with pytest.raises(TypeError):

@@ -48,6 +48,24 @@ class TestDyadicRational:
         with pytest.raises(ValueError):
             DyadicRational(1, -1)
 
+    @pytest.mark.parametrize("args,field", [
+        ((1.5,), "num"), (("3",), "num"), ((2, 1.0), "exp"), ((1, "2"), "exp"),
+    ])
+    def test_non_integer_fields_rejected(self, args, field):
+        with pytest.raises(TypeError, match=f"DyadicRational {field} must be an integer"):
+            DyadicRational(*args)
+
+    def test_bool_fields_become_ints(self):
+        d = DyadicRational(True, True)
+        assert (type(d.num), type(d.exp)) == (int, int)
+        assert d == DyadicRational(1, 1) and str(d) == "1/2"
+        assert str(DyadicRational(True)) == "1"
+
+    @given(st.integers(-64, 64), st.integers(0, 4), st.integers(0, 6))
+    def test_common_twos_are_stripped(self, p, e, k):
+        d = DyadicRational(p << k, e + k)
+        assert d == DyadicRational(p, e) and hash(d) == hash(DyadicRational(p, e))
+
     def test_immutable(self):
         d = DyadicRational(1, 1)
         with pytest.raises(AttributeError):
@@ -200,6 +218,12 @@ class TestMulticomplexNumber:
         with pytest.raises(ValueError):
             MulticomplexNumber(0, [1])
 
+    def test_order_is_an_int(self):
+        x = MulticomplexNumber(True, [1, 2])
+        assert type(x.order) is int and x.to_json_dict()["n"] == 1
+        with pytest.raises(TypeError):
+            MulticomplexNumber(1.0, [1, 2])
+
     def test_unit_mask_range(self):
         with pytest.raises(ValueError):
             MulticomplexNumber.unit(4, 2)
@@ -265,10 +289,6 @@ class TestMulticomplexNumber:
             x + y
         with pytest.raises(ValueError):
             x * y
-
-    def test_support_lists_nonzero_masks_ascending(self):
-        x = MulticomplexNumber.from_coeff_map(2, {3: 1, 0: DyadicRational(1, 1)})
-        assert [(m, str(c)) for m, c in x.support()] == [(0, "1/2"), (3, "1")]
 
     @given(elements(3))
     def test_json_round_trip(self, x):

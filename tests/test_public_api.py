@@ -29,8 +29,8 @@ PUBLIC = {
     "SpecialSetKind", "enumerate_special", "special_element_for_pattern",
     "u_times", "idempotent_from_h", "is_plus_minus_elementary",
     # automorphism
-    "SignedPermutation", "Automorphism", "CycleType",
-    "enumerate_automorphisms", "enumerate_r_involutions",
+    "SignedPermutation", "Automorphism", "enumerate_automorphisms",
+    "enumerate_r_involutions",
     # counting
     "count_automorphisms", "count_involutions", "count_signed_involutions",
     "g_sequence", "count_p_involutions", "count_r_involutions",
