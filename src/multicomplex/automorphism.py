@@ -140,6 +140,7 @@ class Automorphism:
     perm: SignedPermutation
 
     def __post_init__(self):
+        object.__setattr__(self, "order_n", operator.index(self.order_n))
         N = _n_components(self.order_n)
         if self.perm.n_symbols != N:
             raise ValueError(
@@ -182,7 +183,13 @@ class Automorphism:
         return self.perm.order()
 
     def is_involution(self) -> bool:
-        return self.element_order() <= 2
+        """Whether pi(pi(j)) = j for every symbol j, so that self composed
+        with itself is the identity."""
+        images = self.perm.images
+        for j, v in enumerate(images, start=1):
+            if (images[v - 1] if v > 0 else -images[-v - 1]) != j:
+                return False
+        return True
 
     def unit_images(self) -> list[MulticomplexNumber]:
         """The images of the generating units i_1..i_n."""
@@ -193,6 +200,18 @@ class Automorphism:
 
     def __repr__(self) -> str:
         return f"Automorphism(n={self.order_n}, pi={self.perm.to_text()})"
+
+
+def _from_images(n: int, images: tuple[int, ...]) -> Automorphism:
+    """The automorphism of MC(n) with the given signed images, which the
+    caller has proved a signed permutation of the 2^(n-1) components: the
+    checks of the public constructors are for outside input."""
+    perm = object.__new__(SignedPermutation)
+    object.__setattr__(perm, "images", images)
+    auto = object.__new__(Automorphism)
+    object.__setattr__(auto, "order_n", n)
+    object.__setattr__(auto, "perm", perm)
+    return auto
 
 
 def enumerate_automorphisms(n: int) -> Iterator[Automorphism]:

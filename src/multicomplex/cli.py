@@ -50,6 +50,9 @@ _STEP = 1000
 # and per permutation and symbol composed
 _COMPOSE = 10 ** 4
 _COMPOSE_SYMBOL = 30
+# the preserving generator with the involution check of each map:
+# operations per map and component
+_PRESERVING_SYMBOL = 300
 # verify --suite preserving adds brute_count_preserving up to this n
 _BRUTE_PRESERVING_MAX_N = 4
 # n and N count as at most this in the exponentials 2^n, N = 2^(n-1), 2^N, N!
@@ -211,7 +214,9 @@ def _work(args) -> int:
       table --max-n m                     sum of R(2^(k-1), 2), k = 1..m
       apply                               8 n 2^n steps: two transforms
       enumerate automorphisms, involutions, r-involutions    |B_N| N steps
-      enumerate preserving                P(n) n N steps
+      enumerate preserving                P(n) N _PRESERVING_SYMBOL, plus
+                                          P(n) ((n+1)^2 + N + n) steps: one
+                                          per JSON value of the rows
       enumerate special                   2^N 8 n 2^n steps
       verify special                      6 2^N 4^n array elements
       verify automorphisms                |B_N| (A 8 n 2^n + P 4^n) steps:
@@ -220,8 +225,9 @@ def _work(args) -> int:
                                           per map
       verify involutions, r-involutions   r (_COMPOSE + _COMPOSE_SYMBOL N! N)
                                           + R(N, r), r = 2 for involutions
-      verify preserving                   P(n) n N steps, plus n 2^(n^2)
-                                          steps for n <= 4: the brute count
+      verify preserving                   P(n) N _PRESERVING_SYMBOL, plus
+                                          n 2^(n^2) steps for n <= 4: the
+                                          brute count
       verify all                          the sum of its suites
 
     R(N, r) is _recurrence_ops.  Exponentials stop at _CEILING, which keeps
@@ -233,17 +239,23 @@ def _work(args) -> int:
     0.015 to 6 us per step, and the sign walk of verify involutions and
     r-involutions 5 to 10 us per composition and 16 to 30 ns per
     permutation and symbol (r = 10^5 took 0.50 s at N = 1, r = 60 took
-    0.31 s at N = 8; past N = 8 the walk scores above 10^16).
+    0.31 s at N = 8; past N = 8 the walk scores above 10^16).  The
+    preserving generator with its involution checks takes 12 to 13 us per
+    map at n = 5 and 6 (N = 16 and 32), 1.2 to 2.8 ns per operation, and
+    enumerate preserving at n = 5 about 0.9 us per JSON value and 2.6 KB
+    of memory per row held.
     The default budget, 10^10, admits calls of up to 19 s: count
     involutions --n 18 (9.7e9) and count preserving --n 520 (9.3e9) took
-    19 s; verify --suite r-involutions --n 4 --r 840 (8.1e9) 5 to 7 s,
-    verify --suite automorphisms --n 3 (5.8e9) 0.5 to 0.7 s, apply --n 16
-    (8.4e9) 1.3 s, enumerate preserving --n 5 (1.2e9) 1.4 s, verify
-    --suite special --n 5 (4.0e8) 0.4 to 0.5 s and verify --suite
-    preserving --n 4 (2.8e8) 0.1 s, each run in-process through run().
-    It refuses count r-involutions --n 13 --r 720720 (4.8e10, 80 s),
-    verify --suite r-involutions --n 3 --r 1000000 (1.3e10) and
-    enumerate automorphisms --n 4 (8.3e10).
+    19 s; verify --suite preserving --n 6 (7.3e9) 9 to 10 s, verify
+    --suite r-involutions --n 4 --r 840 (8.1e9) 5 to 7 s, verify --suite
+    automorphisms --n 3 (5.8e9) 0.4 to 0.6 s, apply --n 16 (8.4e9) 1.3 s,
+    enumerate preserving --n 5 (9.5e8) 0.7 s, verify --suite special --n 5
+    (4.0e8) 0.3 to 0.5 s and verify --suite preserving --n 4 (2.6e8) 0.1
+    s, each run in-process through run().  It refuses count r-involutions
+    --n 13 --r 720720 (4.8e10, 80 s), verify --suite r-involutions --n 3
+    --r 1000000 (1.3e10), enumerate automorphisms --n 4 (8.3e10) and
+    enumerate preserving --n 6 (7.3e10: 759,936 rows of 87 values, by the
+    n = 5 figures about 60 s and 3 GB).
     """
     if args.command == "table":
         if args.max_n < 1:
@@ -273,7 +285,9 @@ def _work(args) -> int:
         if args.what == "special":
             return (1 << G) * element
         if args.what == "preserving":
-            return counting.count_preserving(e) * n * N * _STEP
+            values = (n + 1) ** 2 + N + n
+            return counting.count_preserving(e) * (
+                N * _PRESERVING_SYMBOL + values * _STEP)
         if args.what == "r-involutions":
             _need(args.r, "--r")
         return group * N * _STEP
@@ -286,7 +300,7 @@ def _work(args) -> int:
             applies = (1 << (e + 2)) - 1 + products
             work += group * (applies * element + products * 4 ** e * _STEP)
         elif suite == "preserving":
-            work += counting.count_preserving(e) * n * N * _STEP
+            work += counting.count_preserving(e) * N * _PRESERVING_SYMBOL
             if n <= _BRUTE_PRESERVING_MAX_N:
                 work += n * (1 << n * n) * _STEP
         else:

@@ -36,7 +36,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .automorphism import Automorphism, SignedPermutation
+from .automorphism import Automorphism, _from_images
 
 __all__ = [
     "GF2Matrix",
@@ -64,6 +64,8 @@ class GF2Matrix:
     rows: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_rows", operator.index(self.n_rows))
+        object.__setattr__(self, "n_cols", operator.index(self.n_cols))
         if not 0 <= self.n_cols <= _MAX_WIDTH or self.n_rows < 0:
             raise ValueError("bad dimensions")
         rows = tuple(self.rows)
@@ -105,13 +107,6 @@ class GF2Matrix:
             out.append(acc)
         return GF2Matrix(self.n_rows, other.n_cols, out)
 
-    def apply(self, vec: int) -> int:
-        """Matrix-vector product, the vector packed as an int."""
-        out = 0
-        for i, row in enumerate(self.rows):
-            out |= _parity(row & vec) << i
-        return out
-
     def to_lists(self) -> list[list[int]]:
         return [
             [(row >> j) & 1 for j in range(self.n_cols)] for row in self.rows
@@ -120,6 +115,16 @@ class GF2Matrix:
     def __repr__(self) -> str:
         body = "; ".join(f"{row:0{max(self.n_cols, 1)}b}"[::-1] for row in self.rows)
         return f"GF2Matrix({self.n_rows}x{self.n_cols}: {body})"
+
+
+def _from_rows(size: int, rows: tuple[int, ...]) -> GF2Matrix:
+    """A size x size GF2Matrix from rows that the generator built in range:
+    the checks of the public constructor are for outside input."""
+    matrix = object.__new__(GF2Matrix)
+    object.__setattr__(matrix, "n_rows", size)
+    object.__setattr__(matrix, "n_cols", size)
+    object.__setattr__(matrix, "rows", rows)
+    return matrix
 
 
 def _rref(rows: Iterable[int], n_cols: int) -> tuple[list[int], list[int]]:
@@ -295,42 +300,61 @@ def _linear_value_form(w: int) -> tuple[int, int]:
     return coef, const
 
 
-def _component_actions(n: int, masks: Sequence[int],
-                       sign_vectors: Iterable[int]) -> Iterator[Automorphism]:
-    """Signed permutations of the idempotent components induced by sending
-    i_(k+1) to (-1)^(bit k of s) times the unit with mask masks[k], one
-    automorphism per sign vector s, in the order given.
+def _component_tables(n: int,
+                      masks: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
+    """The signed permutations of the idempotent components induced by
+    sending i_(k+1) to (-1)^(bit k of s) times the unit with mask masks[k],
+    for every sign vector s at once, as (beta, signed): the map for s sends
+    component t + 1 to signed[s & 1][t ^ x], x = (beta ^ s ^ (s >> 1)) mod
+    2^(n-1), a 1-based signed component.
 
     The component map is affine over GF(2) in the component index t:
-    component t goes to u = inv (t xor beta), with a sign that is affine in
-    u.  The matrix inv and the table t -> inv t depend on the masks alone,
-    so one small matrix inversion covers the whole unit block; each sign
-    vector moves only beta and the sign's constant, which costs one XOR by
-    inv beta and one sign pattern.
+    component t goes to u = inv (t xor beta_s), with a sign that is affine
+    in u.  The matrix inv depends on the masks alone, so one small matrix
+    inversion covers the whole unit block, and the table t -> inv t is
+    built by linearity, doubling over the columns of inv.  Since inv t xor
+    inv x = inv (t xor x), a sign vector moves only the index x read from
+    the table and the sign's constant, bit 0 of s.
+
+    The table is checked to be a permutation, so every map's images, a
+    reindexing by a XOR, are a signed permutation too.
     """
     nbits = n - 1
     lam_rows = []
-    # the parts of beta and of the sign's constant that the masks fix
-    beta_masks = 0
+    # bit r of beta_s is s_r ^ s_(r+1) ^ bit r of the part the masks fix
+    beta = 0
     for r in range(nbits):
         m_lo, m_hi = masks[r], masks[r + 1]
         coef, const = _linear_value_form(m_lo ^ m_hi)
         lam_rows.append(coef)
-        beta_masks |= (_parity(m_lo & m_hi) ^ const) << r
+        beta |= (_parity(m_lo & m_hi) ^ const) << r
     inv = solve(GF2Matrix(nbits, nbits, lam_rows), GF2Matrix.identity(nbits))
+    table = [0]
+    for j in range(nbits):
+        column = inv.column(j)
+        table += [u ^ column for u in table]
+    if len(set(table)) != len(table):
+        raise RuntimeError(f"component table of unit block {list(masks)} "
+                           "is not a permutation")
     scoef, sconst = _linear_value_form(masks[0] ^ 1)
-    sbase_masks = sconst ^ (0 if masks[0] & 1 else 1)
-    table = [inv.apply(t) for t in range(1 << nbits)]
-    table_signs = [_parity(scoef & u) for u in table]
-    for s in sign_vectors:
-        # bit r of s ^ (s >> 1) is s_r ^ s_(r+1); inv reads bits below n - 1
-        shift = inv.apply(beta_masks ^ s ^ (s >> 1))
-        negative = sbase_masks ^ (s & 1) ^ _parity(scoef & shift)
-        images = [
-            -((u ^ shift) + 1) if p ^ negative else (u ^ shift) + 1
-            for u, p in zip(table, table_signs)
-        ]
-        yield Automorphism(n, SignedPermutation(images))
+    sbase = sconst ^ (0 if masks[0] & 1 else 1)
+    signed = [
+        tuple([-(u + 1) if _parity(scoef & u) ^ sbase ^ c else u + 1
+               for u in table])
+        for c in (0, 1)
+    ]
+    return beta, signed
+
+
+def _xor_gathers(nbits: int) -> list:
+    """For each x < 2^nbits, a function taking a sequence of length 2^nbits
+    to the tuple of its items at t ^ x, t = 0, 1, ..."""
+    if nbits == 0:
+        # an itemgetter of one index returns the item, not a 1-tuple
+        return [tuple]
+    size = 1 << nbits
+    return [operator.itemgetter(*[t ^ x for t in range(size)])
+            for x in range(size)]
 
 
 def unit_images_to_automorphism(images: Sequence[tuple[int, int]],
@@ -364,7 +388,10 @@ def unit_images_to_automorphism(images: Sequence[tuple[int, int]],
             "image masks are linearly dependent over GF(2); the induced map "
             "collapses idempotent components and is not an automorphism"
         )
-    return next(_component_actions(n, masks, [signs]))
+    beta, signed = _component_tables(n, masks)
+    x = (beta ^ signs ^ (signs >> 1)) & ((1 << (n - 1)) - 1)
+    row = signed[signs & 1]
+    return _from_images(n, tuple([row[t ^ x] for t in range(len(row))]))
 
 
 def matrix_unit_data(matrix: GF2Matrix) -> tuple[list[int], list[int]]:
@@ -410,6 +437,8 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    gathers = _xor_gathers(n - 1)
+    low = (1 << (n - 1)) - 1
     for k in range((n + 1) // 2, n + 1):
         kernels = sorted(
             enumerate_subspaces_containing_e(n, k), key=lambda s: s.basis
@@ -427,6 +456,11 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
             inv = solve(mixed, GF2Matrix.identity(n))
             # coordinates along the complement: complement[i] -> e_i, kernel -> 0
             coords = GF2Matrix(n - k, n, inv.rows[k:])
+            # the sign vectors of a block are a coset of the kernel, so
+            # they are distinct when the kernel's vectors are
+            kernel_vectors = list(kernel.spanned())
+            if len(set(kernel_vectors)) != len(kernel_vectors):
+                raise RuntimeError("duplicate involution emitted")
             for wtuple in _independent_tuples(kernel, n - k):
                 images = GF2Matrix.from_columns(wtuple, n)
                 yt = images @ coords  # Y transposed; its kernel is `kernel`
@@ -445,10 +479,10 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
                 for vec, bit in zip(complement, t):
                     if bit:
                         particular ^= vec
-                signs = sorted(particular ^ x for x in kernel.spanned())
-                if len(set(signs)) != len(signs):
-                    raise RuntimeError("duplicate involution emitted")
                 block = GF2Matrix.from_columns(masks, n).rows
-                actions = _component_actions(n, masks, signs)
-                for s, auto in zip(signs, actions):
-                    yield GF2Matrix(n + 1, n + 1, block + (s | (1 << n),)), auto
+                beta, signed = _component_tables(n, masks)
+                # a map reads its block's signed table at t ^ x, in one gather
+                for s in sorted(particular ^ x for x in kernel_vectors):
+                    perm = gathers[(beta ^ s ^ (s >> 1)) & low](signed[s & 1])
+                    yield (_from_rows(n + 1, block + (s | (1 << n),)),
+                           _from_images(n, perm))

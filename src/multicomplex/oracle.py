@@ -12,6 +12,7 @@ package does not load it.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -265,6 +266,27 @@ def _witness(law: str, inputs: Sequence[MulticomplexNumber],
     }
 
 
+# the real scalars of the scaling law: 3/2 and -2
+_SCALARS = (DyadicRational(3, 1), DyadicRational(-2, 0))
+
+
+@functools.lru_cache(maxsize=4)
+def _law_inputs(n: int) -> tuple:
+    """The inputs verify_homomorphism applies a map on MC(n) to, built once
+    per order, as (units, negatives, sums, scaled): the canonical units by
+    mask, their negatives, sums[a][b] = units[a] + units[b] (one object for
+    both orders of a pair) and scaled[a][i] = units[a] scaled by
+    _SCALARS[i].  They are frozen values, so every map shares them."""
+    width = 1 << n
+    units = tuple(MulticomplexNumber.unit(m, n) for m in range(width))
+    sums = [[None] * width for _ in range(width)]
+    for a in range(width):
+        for b in range(a, width):
+            sums[a][b] = sums[b][a] = units[a] + units[b]
+    return (units, tuple(-u for u in units), tuple(map(tuple, sums)),
+            tuple(tuple(u.scale(lam) for lam in _SCALARS) for u in units))
+
+
 def verify_homomorphism(f) -> VerificationReport:
     """Check ring-homomorphism laws for a map on MC(n), exactly.
 
@@ -276,25 +298,27 @@ def verify_homomorphism(f) -> VerificationReport:
 
     f.apply is called once per distinct input, a memo that assumes apply is
     a function of its input: 2^n + (2^n - 1) + 2^(n-1) (2^n + 1) + 2^(n+1)
-    calls per map, 67 at n = 3 and 199 at n = 4.  A product of units is a
-    signed unit, whose image is a unit image or, for the minus sign, one
-    memoised apply per mask; a sum's image is memoised on the unordered
+    calls per map, 67 at n = 3 and 199 at n = 4.  The inputs themselves,
+    units, negated units, sums of two units and scaled units, depend on n
+    alone and are built once per order (_law_inputs).  A product of units
+    is a signed unit, whose image is a unit image or, for the minus sign,
+    one memoised apply per mask; a sum's image is memoised on the unordered
     pair.  The right sides are integer rows over one power of two, each
-    product of unit images convolved once per unordered pair; an element is
-    built from a row only for a witness.  The checks run in the same (a, b)
-    order as a loop that applies f to every left side, and stop at the same
-    first failure.
+    product of unit images convolved once per unordered pair, and each
+    scaling one row times the scalar's numerator; an element is built from
+    a row only for a witness.  The checks run in the same (a, b) order as
+    a loop that applies f to every left side, and stop at the same first
+    failure.
     """
     n = f.order_n
     apply = f.apply
-    units = [MulticomplexNumber.unit(m, n) for m in range(1 << n)]
+    units, negatives, unit_sums, scaled = _law_inputs(n)
     images = [apply(u) for u in units]
     top = max(x.exp for x in images)
     rows = [[c << (top - x.exp) for c in x.nums] for x in images]
     negated: dict[int, MulticomplexNumber] = {}
     sums: dict[tuple[int, int], MulticomplexNumber] = {}
     products: dict[tuple[int, int], list[int]] = {}
-    scalars = [DyadicRational(3, 1), DyadicRational(-2, 0)]
     checks = 0
 
     for a, ua in enumerate(units):
@@ -306,7 +330,7 @@ def verify_homomorphism(f) -> VerificationReport:
             elif m in negated:
                 lhs = negated[m]
             else:
-                lhs = negated[m] = apply(-units[m])
+                lhs = negated[m] = apply(negatives[m])
             if pair in products:
                 rhs = products[pair]
             else:
@@ -319,21 +343,18 @@ def verify_homomorphism(f) -> VerificationReport:
             if pair in sums:
                 lhs = sums[pair]
             else:
-                lhs = sums[pair] = apply(ua + ub)
+                lhs = sums[pair] = apply(unit_sums[a][b])
             rhs = [x + y for x, y in zip(rows[a], rows[b])]
             checks += 1
             if not _matches(lhs, rhs, top):
                 return VerificationReport(False, checks, _witness(
                     "additive", [ua, ub], lhs, MulticomplexNumber(n, rhs, top)))
-        for lam in scalars:
-            lhs = apply(ua.scale(lam))
-            rhs = images[a].scale(lam)
+        for lam, scaled_unit in zip(_SCALARS, scaled[a]):
+            lhs = apply(scaled_unit)
             checks += 1
-            if lhs != rhs:
-                return VerificationReport(
-                    False, checks,
-                    _witness(f"real-scaling by {lam}", [ua], lhs, rhs),
-                )
+            if not _matches(lhs, [c * lam.num for c in rows[a]], top + lam.exp):
+                return VerificationReport(False, checks, _witness(
+                    f"real-scaling by {lam}", [ua], lhs, images[a].scale(lam)))
     return VerificationReport(True, checks)
 
 
@@ -421,18 +442,29 @@ def _distinct_rows(rows) -> bool:
 
 def _family_rows(n: int) -> dict:
     """The three special families of MC(n) as int64 arrays, by kind: row p
-    holds 2^(n-1) times the coefficients of the element of pattern p."""
+    holds 2^(n-1) times the coefficients of the element of pattern p.
+
+    Each family is a sum over the components j of a term that bit j of p
+    switches: +-(i1-multiple of idempotent j) for the minus-one family,
+    +-(idempotent j) for the one family, and idempotent j or 0 for the
+    idempotents.  So rows are built by doubling: row p + 2^j is row p plus
+    that switch's step, for p < 2^j, from row 0, where every bit is 0."""
     import numpy as np
 
     N = 1 << (n - 1)
     re_rows, im_rows = _component_basis_rows(n)
-    bits = ((np.arange(1 << N)[:, None] >> np.arange(N)) & 1).astype(np.int64)
-    pm = 1 - 2 * bits
-    return {
-        SpecialSetKind.SQUARE_MINUS_ONE: pm @ im_rows,
-        SpecialSetKind.SQUARE_ONE: pm @ re_rows,
-        SpecialSetKind.IDEMPOTENT: bits @ re_rows,
-    }
+    families = {}
+    for kind, base, steps in (
+        (SpecialSetKind.SQUARE_MINUS_ONE, im_rows.sum(axis=0), -2 * im_rows),
+        (SpecialSetKind.SQUARE_ONE, re_rows.sum(axis=0), -2 * re_rows),
+        (SpecialSetKind.IDEMPOTENT, 0, re_rows),
+    ):
+        rows = np.empty((1 << N, re_rows.shape[1]), dtype=np.int64)
+        rows[0] = base
+        for j, step in enumerate(steps):
+            np.add(rows[:1 << j], step, out=rows[1 << j:2 << j])
+        families[kind] = rows
+    return families
 
 
 def verify_special_sets(n: int) -> VerificationReport:

@@ -114,6 +114,26 @@ class TestSignedPermutation:
         assert SignedPermutation(data["images"]) == pi
 
 
+@st.composite
+def near_involutions(draw, N):
+    """Signed involutions on N symbols, built from 2-cycles and fixed
+    points, and half of the time one sign flipped, which breaks the
+    involution when it falls on a 2-cycle."""
+    symbols = list(draw(st.permutations(list(range(1, N + 1)))))
+    images = [0] * N
+    while symbols:
+        a, sign = symbols.pop(), draw(st.sampled_from([1, -1]))
+        if symbols and draw(st.booleans()):
+            b = symbols.pop()
+            images[a - 1], images[b - 1] = sign * b, sign * a
+        else:
+            images[a - 1] = sign * a
+    if draw(st.booleans()):
+        j = draw(st.integers(0, N - 1))
+        images[j] = -images[j]
+    return SignedPermutation(images)
+
+
 def automorphisms(n):
     N = 1 << (n - 1)
     return st.builds(lambda p: Automorphism(n, p), fixed_size_permutation(N))
@@ -203,6 +223,20 @@ class TestAutomorphism:
         assert f in enumerate_r_involutions(3, 6)
         assert f in enumerate_r_involutions(3, 12)
         assert f not in enumerate_r_involutions(3, 4)
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(st.just(n), st.one_of(
+        fixed_size_permutation(1 << (n - 1)), near_involutions(1 << (n - 1))))))
+    def test_is_involution_matches_element_order(self, case):
+        f = Automorphism(*case)
+        assert f.is_involution() is (f.element_order() <= 2)
+
+    def test_order_goes_through_index(self):
+        one = SignedPermutation([1])
+        f = Automorphism(True, one)
+        assert type(f.order_n) is int and repr(f) == "Automorphism(n=1, pi=1)"
+        assert f == Automorphism(1, one) and hash(f) == hash(Automorphism(1, one))
+        with pytest.raises(TypeError):
+            Automorphism(1.0, one)
 
     def test_unit_images_of_identity(self):
         f = Automorphism.identity(3)

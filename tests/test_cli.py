@@ -628,6 +628,7 @@ class TestBudget:
         ("enumerate", "preserving", "--n", "5"),
         ("enumerate", "special", "--n", "4", "--kind", "one"),
         ("apply", "--n", "5", "--perm", "1", "--input", "unread.json"),
+        ("verify", "--suite", "preserving", "--n", "6"),
     ])
     def test_admitted_by_default(self, argv):
         assert 1 <= estimate(*argv) <= cli.DEFAULT_BUDGET
@@ -648,6 +649,7 @@ class TestBudget:
         ("count", "preserving", "--n", "1000"),
         ("count", "preserving", "--n", "1000000"),
         ("enumerate", "preserving", "--n", "1000000"),
+        ("enumerate", "preserving", "--n", "6"),
     ])
     def test_refused_before_any_work(self, capsys, monkeypatch, argv):
         for name in ("_cmd_count", "_cmd_enumerate", "_cmd_apply", "_cmd_verify", "_cmd_table"):

@@ -1,4 +1,6 @@
 """Tests for GF(2) linear algebra and the unit-preserving involutions."""
+import hashlib
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +31,14 @@ from multicomplex.gf2_preserving import (
 
 def entry(m, i, j):
     return (m.rows[i] >> j) & 1
+
+
+def mat_vec(m, vec):
+    """The matrix-vector product over GF(2), the vector packed as an int."""
+    out = 0
+    for i, row in enumerate(m.rows):
+        out |= _parity(row & vec) << i
+    return out
 
 
 def transpose(m):
@@ -95,12 +105,12 @@ class TestGF2Matrix:
         assert ident @ m == m
 
     @given(small_matrices(3, 3), st.integers(0, 7))
-    def test_apply_matches_column_combination(self, m, vec):
+    def test_mat_vec_matches_column_combination(self, m, vec):
         expected = 0
         for j in range(m.n_cols):
             if (vec >> j) & 1:
                 expected ^= m.column(j)
-        assert m.apply(vec) == expected
+        assert mat_vec(m, vec) == expected
 
     @given(small_matrices(3, 3), small_matrices(3, 3))
     def test_matmul_matches_entrywise_definition(self, a, b):
@@ -113,6 +123,13 @@ class TestGF2Matrix:
                 for k in range(a.n_cols):
                     s ^= entry(a, i, k) & entry(b, k, j)
                 assert entry(prod, i, j) == s
+
+    def test_dimensions_go_through_index(self):
+        m = GF2Matrix(True, 1, [1])
+        assert type(m.n_rows) is int and repr(m) == "GF2Matrix(1x1: 1)"
+        assert m == GF2Matrix(1, 1, [1]) and hash(m) == hash(GF2Matrix(1, 1, [1]))
+        with pytest.raises(TypeError):
+            GF2Matrix(1, 1.0, [1])
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -158,7 +175,7 @@ class TestRankKernelSolve:
     def test_solve_matches_brute_force(self, m, rhs):
         # one elimination must tell a unique solution from none or many
         rhs &= (1 << m.n_rows) - 1
-        hits = [x for x in range(1 << m.n_cols) if m.apply(x) == rhs]
+        hits = [x for x in range(1 << m.n_cols) if mat_vec(m, x) == rhs]
         target = GF2Matrix.from_columns([rhs], m.n_rows)
         if len(hits) == 1:
             assert solve(m, target) == GF2Matrix.from_columns(hits, m.n_cols)
@@ -489,6 +506,28 @@ class TestPreservingEnumeration:
         with pytest.raises(ValueError):
             list(enumerate_preserving_involutions(0))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_emitted_values_equal_their_checked_rebuild(self, n):
+        # the generator builds its values without the constructors' checks
+        for matrix, auto in enumerate_preserving_involutions(n):
+            rebuilt = GF2Matrix(matrix.n_rows, matrix.n_cols, list(matrix.rows))
+            assert matrix == rebuilt and hash(matrix) == hash(rebuilt)
+            assert type(matrix.rows) is tuple
+            perm = SignedPermutation(list(auto.perm.images))
+            assert auto.perm == perm and hash(auto.perm) == hash(perm)
+            again = Automorphism(auto.order_n, perm)
+            assert auto == again and hash(auto) == hash(again)
+            assert type(auto.perm.images) is tuple
+
+    def test_order_six_stream(self):
+        digest = hashlib.sha256()
+        count = 0
+        for matrix, auto in enumerate_preserving_involutions(6):
+            digest.update(repr((matrix.rows, auto.perm.images)).encode())
+            count += 1
+        assert count == 759_936 == count_preserving(6)
+        assert digest.hexdigest().startswith("02791380f0fa9094")
+
     def test_deterministic(self):
         a = [(m.rows, auto.perm.images) for m, auto in preserving(3)]
         b = [(m.rows, auto.perm.images) for m, auto in preserving(3)]
@@ -567,7 +606,24 @@ class TestPerBlockActions:
                         sign *= s
                 carry |= (sign < 0) << j
             yt = GF2Matrix(n, n, [m ^ (1 << j) for j, m in enumerate(masks)])
-            assert signs == {s for s in range(1 << n) if yt.apply(s) == carry}
+            assert signs == {s for s in range(1 << n) if mat_vec(yt, s) == carry}
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_corrupted_component_table_raises(self, n, monkeypatch):
+        def singular(matrix, targets):
+            # the inversion of a unit block is the only solve with n - 1
+            # rows: zeroing it makes the table t -> inv t constant
+            out = solve(matrix, targets)
+            if matrix.n_rows == n - 1:
+                return GF2Matrix(out.n_rows, out.n_cols, [0] * out.n_rows)
+            return out
+
+        monkeypatch.setattr(gf2_preserving, "solve", singular)
+        with pytest.raises(RuntimeError, match="not a permutation"):
+            next(enumerate_preserving_involutions(n))
+        identity = [(1, 1 << k) for k in range(n)]
+        with pytest.raises(RuntimeError, match="not a permutation"):
+            unit_images_to_automorphism(identity, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_one_inversion_per_kernel_and_per_unit_block(self, n, monkeypatch):

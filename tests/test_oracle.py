@@ -80,6 +80,29 @@ def loop_signed_power_count(N, r):
     return total
 
 
+def matmul_family_rows(n):
+    """Each family as one int64 matmul of the 2^N pattern signs or bits
+    against the component basis: the reference for oracle._family_rows."""
+    N = 1 << (n - 1)
+    re_rows, im_rows = oracle._component_basis_rows(n)
+    bits = ((np.arange(1 << N)[:, None] >> np.arange(N)) & 1).astype(np.int64)
+    pm = 1 - 2 * bits
+    return {
+        SpecialSetKind.SQUARE_MINUS_ONE: pm @ im_rows,
+        SpecialSetKind.SQUARE_ONE: pm @ re_rows,
+        SpecialSetKind.IDEMPOTENT: bits @ re_rows,
+    }
+
+
+def fresh_law_inputs(n):
+    """The inputs of verify_homomorphism built afresh: the reference for
+    the per-order cache oracle._law_inputs."""
+    units = [MulticomplexNumber.unit(m, n) for m in range(1 << n)]
+    return (units, [-u for u in units],
+            [[ua + ub for ub in units] for ua in units],
+            [[u.scale(DyadicRational(3, 1)), u.scale(-2)] for u in units])
+
+
 class TestBruteCounts:
     def test_signed_involutions(self):
         assert [brute_count_signed_involutions(N) for N in (1, 2, 3, 4)] == [
@@ -115,6 +138,25 @@ class TestReplacedLoops:
         if column_major:
             rows = np.asfortranarray(rows)
         assert np.array_equal(oracle._vectorized_square(rows, n), loop_square(rows, n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_family_rows_match_the_matmul(self, n):
+        fast, reference = oracle._family_rows(n), matmul_family_rows(n)
+        assert list(fast) == list(reference)
+        for kind, rows in reference.items():
+            assert fast[kind].dtype == rows.dtype
+            assert np.array_equal(fast[kind], rows)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_law_inputs_match_a_fresh_build(self, n):
+        cached = oracle._law_inputs(n)
+        assert oracle._law_inputs(n) is cached
+        units, negatives, sums, scaled = cached
+        fresh_units, fresh_negatives, fresh_sums, fresh_scaled = fresh_law_inputs(n)
+        assert list(units) == fresh_units
+        assert list(negatives) == fresh_negatives
+        assert [list(row) for row in sums] == fresh_sums
+        assert [list(pair) for pair in scaled] == fresh_scaled
 
     # N <= 5 leaves part of the one word of sign vectors unused
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
