@@ -60,7 +60,9 @@ class VerificationReport:
 
 # 64-bit words of one chunk's sign-bit array: bounds memory for any N
 _CHUNK_ELEMENTS = 1 << 20
-# rows of a special family squared at once: 1 MB of int64 at n = 5
+# rows of a special family generated and squared at once, a power of two:
+# 1 MB of int64 at n = 5, so that verify_special_sets holds a few blocks and
+# never a whole family
 _SQUARE_ROWS = 1 << 12
 # bit m of _LOW_COLUMNS[p] is bit p of m, for the 64 values m of one word
 _LOW_COLUMNS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
@@ -410,61 +412,95 @@ def _vectorized_square(C, n: int):
     return out.T
 
 
-# weights of the row hash in _distinct_rows, one per coefficient of MC(5):
+# weights of the row hash in _row_hashes, one per coefficient of MC(5):
 # the powers of an odd 64-bit constant, 2^64 / golden ratio, so all odd
 _HASH_WEIGHTS = tuple(pow(0x9E3779B97F4A7C15, k + 1, 1 << 64) for k in range(32))
 
 
-def _distinct_rows(rows) -> bool:
-    """Whether the rows of a 2-d int64 array are pairwise distinct.
+def _row_hashes(cols):
+    """One uint64 per row of a column-major int64 block (a column per row):
+    its dot product with _HASH_WEIGHTS, wrapping modulo 2^64."""
+    import numpy as np
 
-    Each row is hashed to one uint64, its dot product with _HASH_WEIGHTS
-    wrapping modulo 2^64, and the hashes are sorted.  Equal rows have equal
-    hashes, and within each group of equal hashes every pair of rows is
-    compared exactly, so a collision costs time but never the answer.
+    weights = np.array(_HASH_WEIGHTS[:cols.shape[0]], dtype=np.uint64)
+    return weights @ cols.view(np.uint64)
+
+
+def _distinct_rows(hashes, row) -> bool:
+    """Whether the rows of a family are pairwise distinct, given the
+    _row_hashes of all of them and row(p), which rebuilds row p.
+
+    The hashes are sorted.  Equal rows have equal hashes, and each group of
+    equal hashes is rebuilt by pattern index and every pair in it compared
+    exactly, so a collision costs time but never the answer.
     """
     import numpy as np
 
-    weights = np.array(_HASH_WEIGHTS[:rows.shape[1]], dtype=np.uint64)
-    hashes = rows.view(np.uint64) @ weights
     order = np.argsort(hashes)
     hashes = hashes[order]
     bounds = np.flatnonzero(np.concatenate(
         ([True], hashes[1:] != hashes[:-1], [True])))
     shared = np.diff(bounds) > 1
     for start, stop in zip(bounds[:-1][shared], bounds[1:][shared]):
-        group = rows[order[start:stop]]
+        group = np.array([row(int(p)) for p in order[start:stop]])
         for i in range(len(group) - 1):
             if (group[i + 1:] == group[i]).all(axis=1).any():
                 return False
     return True
 
 
-def _family_rows(n: int) -> dict:
-    """The three special families of MC(n) as int64 arrays, by kind: row p
-    holds 2^(n-1) times the coefficients of the element of pattern p.
+def _family_sources(n: int) -> dict:
+    """The three special families of MC(n) as block sources, by kind: row p
+    of a family holds 2^(n-1) times the coefficients of the element of
+    pattern p, and _family_block reads any aligned block of rows.
 
     Each family is a sum over the components j of a term that bit j of p
     switches: +-(i1-multiple of idempotent j) for the minus-one family,
     +-(idempotent j) for the one family, and idempotent j or 0 for the
-    idempotents.  So rows are built by doubling: row p + 2^j is row p plus
-    that switch's step, for p < 2^j, from row 0, where every bit is 0."""
+    idempotents.  So row p + 2^j is row p plus that switch's step, for
+    p < 2^j, from row 0, where every bit is 0.  A source is the table of
+    the first _SQUARE_ROWS rows, built by that doubling and held
+    column-major, and the steps of the pattern bits past the table.
+
+    No entry exceeds bound = |row 0| + sum of |steps| in its column, so no
+    partial sum of a square exceeds 2^n bound^2: OverflowError unless that
+    is below 2^63, where int64 would wrap.
+    """
     import numpy as np
 
-    N = 1 << (n - 1)
+    width = 1 << n
+    low_bits = min(1 << (n - 1), _SQUARE_ROWS.bit_length() - 1)
     re_rows, im_rows = _component_basis_rows(n)
-    families = {}
+    sources = {}
     for kind, base, steps in (
         (SpecialSetKind.SQUARE_MINUS_ONE, im_rows.sum(axis=0), -2 * im_rows),
         (SpecialSetKind.SQUARE_ONE, re_rows.sum(axis=0), -2 * re_rows),
-        (SpecialSetKind.IDEMPOTENT, 0, re_rows),
+        (SpecialSetKind.IDEMPOTENT, 0 * re_rows[0], re_rows),
     ):
-        rows = np.empty((1 << N, re_rows.shape[1]), dtype=np.int64)
-        rows[0] = base
-        for j, step in enumerate(steps):
-            np.add(rows[:1 << j], step, out=rows[1 << j:2 << j])
-        families[kind] = rows
-    return families
+        bound = int((np.abs(base) + np.abs(steps).sum(axis=0)).max())
+        if width * bound * bound >= 1 << 63:
+            raise OverflowError(
+                f"int64 squares of the {kind.value} family could wrap")
+        low = np.empty((width, 1 << low_bits), dtype=np.int64)
+        low[:, 0] = base
+        for j in range(low_bits):
+            np.add(low[:, :1 << j], steps[j][:, None], out=low[:, 1 << j:2 << j])
+        sources[kind] = low, steps[low_bits:]
+    return sources
+
+
+def _family_block(source, start: int, size: int, out=None):
+    """Rows start .. start + size - 1 of a family source as a 2^n x size
+    array, one column per row, written into out if given: table columns
+    plus the steps of start's bits past the table.  size is a power of two
+    no larger than the table, and start a multiple of it."""
+    import numpy as np
+
+    low, high = source
+    bits = (start // low.shape[1]) >> np.arange(len(high)) & 1
+    offset = high[bits == 1].sum(axis=0)
+    first = start % low.shape[1]
+    return np.add(low[:, first:first + size], offset[:, None], out=out)
 
 
 def verify_special_sets(n: int) -> VerificationReport:
@@ -474,9 +510,11 @@ def verify_special_sets(n: int) -> VerificationReport:
     idempotent families: the defining equation for every element, the
     cardinality 2^(2^(n-1)), and the cross-identities (minus-one family =
     i1 times the one family; idempotents = (1 + one family)/2, row by row
-    by pattern).  Works on scaled integer coefficient arrays so n = 5
-    stays fast; spot-checks rows against the literal library enumeration.
-    A row r stands for the element MulticomplexNumber(n, r, n - 1).
+    by pattern).  Works on scaled integer coefficient arrays, which it
+    generates in aligned blocks of _SQUARE_ROWS rows and never holds whole,
+    so n = 5 stays fast and small; spot-checks rows against the literal
+    library enumeration.  A row r stands for the element
+    MulticomplexNumber(n, r, n - 1).
     """
     import numpy as np
 
@@ -485,94 +523,111 @@ def verify_special_sets(n: int) -> VerificationReport:
     width = 1 << n
     scale = 1 << (n - 1)
     count = 1 << (1 << (n - 1))
-    # at n = 5 a family array is 16 MB: the families stay to the end, and
-    # what is derived from them is taken in row blocks, so that it stays
-    # within a block at any n
-    family_rows = _family_rows(n)
-    blocks = [slice(start, start + _SQUARE_ROWS)
-              for start in range(0, count, _SQUARE_ROWS)]
+    # at n = 5 a whole family would be 16 MB; a block is 1 MB, a source's
+    # table 1 MB and the hashes of one family 0.5 MB
+    sources = _family_sources(n)
+    size = min(count, _SQUARE_ROWS)
+    starts = range(0, count, size)
+
+    def row(kind, p):
+        return _family_block(sources[kind], p, 1)[:, 0]
 
     checks = 0
 
     # spot-check the array construction against the literal enumeration
     probe_indices = sorted({0, 1, count - 1, count // 3, (2 * count) // 3})
-    for kind, rows in family_rows.items():
+    for kind in sources:
         literal = dict(_probe_special(kind, n, probe_indices))
         for idx in probe_indices:
             checks += 1
-            row = MulticomplexNumber(n, rows[idx].tolist(), n - 1)
-            if row != literal[idx]:
+            element = MulticomplexNumber(n, row(kind, idx).tolist(), n - 1)
+            if element != literal[idx]:
                 return VerificationReport(False, checks, {
                     "law": "enumeration mismatch",
                     "kind": kind.value,
                     "index": idx,
-                    "lhs": str(row),
+                    "lhs": str(element),
                     "rhs": str(literal[idx]),
                 })
 
-    for kind, rows in family_rows.items():
+    # one pass of blocks per family: the squares, and a hash per row
+    cols = np.empty((width, size), dtype=np.int64)
+    hashes = np.empty(count, dtype=np.uint64)
+    for kind in sources:
         target = None
         if kind is not SpecialSetKind.IDEMPOTENT:
             target = np.zeros(width, dtype=np.int64)
             target[0] = scale * scale
             if kind is SpecialSetKind.SQUARE_MINUS_ONE:
                 target[0] = -target[0]
-        for block in blocks:
-            squares = _vectorized_square(rows[block], n)
-            expected = scale * rows[block] if target is None else target
-            bad = np.nonzero((squares != expected).any(axis=1))[0]
+        for start in starts:
+            _family_block(sources[kind], start, size, out=cols)
+            squares = _vectorized_square(cols.T, n)
+            expected = scale * cols.T if target is None else target
+            bad = np.flatnonzero((squares != expected).any(axis=1))
             if bad.size:
                 break
-        checks += rows.shape[0]
+            hashes[start:start + size] = _row_hashes(cols)
+        checks += count
         if bad.size:
             idx = int(bad[0])
-            element = rows[block][idx]
             return VerificationReport(False, checks, {
                 "law": f"defining equation of {kind.value}",
-                "element": str(MulticomplexNumber(n, element.tolist(), n - 1)),
+                "element": str(MulticomplexNumber(n, cols[:, idx].tolist(), n - 1)),
                 "square": str(
                     MulticomplexNumber(n, squares[idx].tolist(), 2 * n - 2)
                 ),
             })
         checks += 1
-        if len(rows) != count or not _distinct_rows(rows):
+        if not _distinct_rows(hashes, functools.partial(row, kind)):
             return VerificationReport(False, checks, {
                 "law": f"cardinality of {kind.value}",
                 "expected": count,
             })
 
+    # one pass of blocks for the three cross-identities, reported in order.
     # minus-one family = i1 * (one family), pattern by pattern: i1 e_m is
-    # sign e_mm, so column mm of the product is sign times column m
-    h_rows = family_rows[SpecialSetKind.SQUARE_ONE]
-    u_rows = family_rows[SpecialSetKind.SQUARE_MINUS_ONE]
+    # sign e_mm, so row mm of the product is sign times row m of a block.
+    # idempotents = (1 + one family) / 2; (1 + h)/2 for pattern p is the
+    # idempotent of the complementary pattern, count - 1 - p, so the block
+    # at start meets the idempotent block at count - start - size, reversed.
+    # Every block goes into a reused buffer: a fresh 1 MB array costs more
+    # in first-touch page faults than the arithmetic on it
     source = np.empty(width, dtype=np.intp)
-    signs = np.empty(width, dtype=np.int64)
+    signs = np.empty((width, 1), dtype=np.int64)
     for m in range(width):
         sign, mm = unit_product(1, m)
         source[mm], signs[mm] = m, sign
+    h, other, work = cols, np.empty_like(cols), np.empty_like(cols)
+    i1_times = dyadic = halves = True
+    for start in starts:
+        _family_block(sources[SpecialSetKind.SQUARE_ONE], start, size, out=h)
+        _family_block(sources[SpecialSetKind.SQUARE_MINUS_ONE], start, size,
+                      out=other)
+        np.multiply(np.take(h, source, axis=0, out=work), signs, out=work)
+        if not np.array_equal(work, other):
+            i1_times = False
+            break
+        h[0] += scale
+        if np.bitwise_and(h, 1, out=work).any():
+            dyadic = False
+        elif halves:
+            _family_block(sources[SpecialSetKind.IDEMPOTENT],
+                          count - start - size, size, out=other)
+            halves = np.array_equal(np.right_shift(h, 1, out=work), other[:, ::-1])
+
     checks += 1
-    if not all(np.array_equal(h_rows[block][:, source] * signs, u_rows[block])
-               for block in blocks):
+    if not i1_times:
         return VerificationReport(False, checks, {
             "law": "minus-one family equals i1 times one family"
         })
-
-    # idempotents = (1 + one family) / 2; (1 + h)/2 for pattern p is the
-    # idempotent of the complementary pattern, count - 1 - p
-    def shifted(block):
-        rows = h_rows[block].copy()
-        rows[:, 0] += scale
-        return rows
-
     checks += 1
-    if any((shifted(block) % 2 != 0).any() for block in blocks):
+    if not dyadic:
         return VerificationReport(False, checks, {
             "law": "(1 + h)/2 stays dyadic at the family scale"
         })
-    e_rows = family_rows[SpecialSetKind.IDEMPOTENT][::-1]
     checks += 1
-    if not all(np.array_equal(shifted(block) // 2, e_rows[block])
-               for block in blocks):
+    if not halves:
         return VerificationReport(False, checks, {
             "law": "idempotent family equals (1 + one family)/2"
         })

@@ -1,5 +1,6 @@
 """Tests for the brute-force validators."""
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,7 +83,8 @@ def loop_signed_power_count(N, r):
 
 def matmul_family_rows(n):
     """Each family as one int64 matmul of the 2^N pattern signs or bits
-    against the component basis: the reference for oracle._family_rows."""
+    against the component basis: the reference for the family blocks of
+    oracle._family_sources and oracle._family_block."""
     N = 1 << (n - 1)
     re_rows, im_rows = oracle._component_basis_rows(n)
     bits = ((np.arange(1 << N)[:, None] >> np.arange(N)) & 1).astype(np.int64)
@@ -139,13 +141,31 @@ class TestReplacedLoops:
             rows = np.asfortranarray(rows)
         assert np.array_equal(oracle._vectorized_square(rows, n), loop_square(rows, n))
 
+    # blocks of four rows take the pattern bits past the table from n = 3 on
+    @pytest.mark.parametrize("block_rows", [4, 4096])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_family_rows_match_the_matmul(self, n):
-        fast, reference = oracle._family_rows(n), matmul_family_rows(n)
-        assert list(fast) == list(reference)
+    def test_family_blocks_match_the_matmul(self, n, block_rows, monkeypatch):
+        monkeypatch.setattr(oracle, "_SQUARE_ROWS", block_rows)
+        sources, reference = oracle._family_sources(n), matmul_family_rows(n)
+        assert list(sources) == list(reference)
+        count = 1 << (1 << (n - 1))
+        size = min(count, block_rows)
+        starts = range(0, count, size)
         for kind, rows in reference.items():
-            assert fast[kind].dtype == rows.dtype
-            assert np.array_equal(fast[kind], rows)
+            blocks = [oracle._family_block(sources[kind], start, size)
+                      for start in starts]
+            assert all(b.dtype == rows.dtype for b in blocks)
+            assert np.array_equal(np.concatenate(blocks, axis=1).T, rows)
+            # single rows, as the spot checks and hash collisions read them
+            for p in {0, 1, count // 3, count - 1}:
+                row = oracle._family_block(sources[kind], p, 1)[:, 0]
+                assert np.array_equal(row, rows[p])
+        # the idempotent block that (1 + h)/2 of the block at start meets
+        reverse = reference[SpecialSetKind.IDEMPOTENT][::-1]
+        for start in starts:
+            block = oracle._family_block(sources[SpecialSetKind.IDEMPOTENT],
+                                         count - start - size, size)
+            assert np.array_equal(block[:, ::-1].T, reverse[start:start + size])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_law_inputs_match_a_fresh_build(self, n):
@@ -463,15 +483,28 @@ def probe_from_basis(kind, n, indices):
         yield idx, MulticomplexNumber(n, row.tolist(), n - 1)
 
 
-def duplicated_row(kind):
-    """oracle._family_rows with row 3 of one family replaced by row 2."""
-    family_rows = oracle._family_rows
+def copied_patterns(monkeypatch, kind, copies):
+    """Patches the oracle so that, in the family of one kind, each pattern p
+    in copies holds the true row of pattern copies[p] in every block read."""
+    family_sources, family_block = oracle._family_sources, oracle._family_block
+    spoiled = []
 
-    def spoiled(n):
-        families = family_rows(n)
-        families[kind][3] = families[kind][2]
+    def sources(n):
+        families = family_sources(n)
+        spoiled.append(families[kind])
         return families
-    return spoiled
+
+    def block(source, start, size, out=None):
+        cols = family_block(source, start, size, out)
+        if source is spoiled[-1]:
+            rows = {p: family_block(source, q, 1)[:, 0]
+                    for p, q in copies.items() if start <= p < start + size}
+            for p, row in rows.items():
+                cols[:, p - start] = row
+        return cols
+
+    monkeypatch.setattr(oracle, "_family_sources", sources)
+    monkeypatch.setattr(oracle, "_family_block", block)
 
 
 class TestVerifySpecialSets:
@@ -508,10 +541,10 @@ class TestVerifySpecialSets:
         assert not report.ok
         assert report.failure["law"] == "minus-one family equals i1 times one family"
 
-    @pytest.mark.parametrize("block_rows", [3, 4096])
+    @pytest.mark.parametrize("block_rows", [4, 4096])
     def test_row_blocks_find_the_first_bad_square(self, monkeypatch, block_rows):
-        # a wrong square of the one family's pattern 11 only, in the fourth
-        # block of three rows or the first of 4,096
+        # a wrong square of the one family's pattern 11 only, in the third
+        # block of four rows or the first of 4,096
         n = 3
         re_rows, _ = _basis_rows(n)
         bad_row = (1 - 2 * ((11 >> np.arange(4)) & 1)) @ re_rows
@@ -538,29 +571,72 @@ class TestVerifySpecialSets:
     def test_duplicated_row_fails_the_cardinality(self, kind, monkeypatch):
         # pattern 2 repeated as pattern 3: every square still holds and no
         # spot check reads either pattern
-        monkeypatch.setattr(oracle, "_family_rows", duplicated_row(kind))
+        copied_patterns(monkeypatch, kind, {3: 2})
         report = verify_special_sets(3)
+        # 15 spot checks, then 16 squares and a cardinality per family
+        assert report.checks == 15 + 17 * (list(SpecialSetKind).index(kind) + 1)
         assert report.failure == {"law": f"cardinality of {kind.value}",
                                   "expected": 16}
+
+    @pytest.mark.parametrize("kind", list(SpecialSetKind))
+    def test_duplicate_across_blocks_fails_the_cardinality(self, kind, monkeypatch):
+        # patterns 5 and 40,000 lie in different blocks of 4,096 rows: only
+        # the hashes kept from every block can see that they are equal
+        copied_patterns(monkeypatch, kind, {40000: 5})
+        report = verify_special_sets(5)
+        assert report.checks == 15 + 65537 * (list(SpecialSetKind).index(kind) + 1)
+        assert report.failure == {"law": f"cardinality of {kind.value}",
+                                  "expected": 65536}
+
+    def test_swapped_idempotents_fail_the_halving_identity(self, monkeypatch):
+        # the idempotent family is the same set with two patterns exchanged,
+        # in different blocks, so only (1 + h)/2 pattern by pattern fails
+        copied_patterns(monkeypatch, SpecialSetKind.IDEMPOTENT,
+                        {5: 40000, 40000: 5})
+        report = verify_special_sets(5)
+        assert report.checks == 196629
+        assert report.failure == {
+            "law": "idempotent family equals (1 + one family)/2"}
 
     def test_colliding_hashes_are_compared_exactly(self, monkeypatch):
         # with every hash equal, every pair of rows is compared
         monkeypatch.setattr(oracle, "_HASH_WEIGHTS", (0,) * 32)
         assert verify_special_sets(3).ok
-        monkeypatch.setattr(oracle, "_family_rows",
-                            duplicated_row(SpecialSetKind.SQUARE_ONE))
+        copied_patterns(monkeypatch, SpecialSetKind.SQUARE_ONE, {3: 2})
         report = verify_special_sets(3)
         assert report.failure["law"] == "cardinality of one"
 
     def test_distinct_rows(self, monkeypatch):
+        def distinct(rows):
+            hashes = oracle._row_hashes(np.ascontiguousarray(rows.T))
+            return oracle._distinct_rows(hashes, rows.__getitem__)
+
         rows = np.array([[1, 2], [3, 4], [1, 2]], dtype=np.int64)
-        assert not oracle._distinct_rows(rows)
-        assert oracle._distinct_rows(rows[:2])
+        assert not distinct(rows)
+        assert distinct(rows[:2])
         monkeypatch.setattr(oracle, "_HASH_WEIGHTS", (0,) * 32)
         # one group of three: the equal rows are not neighbours in it
-        assert not oracle._distinct_rows(rows)
-        assert oracle._distinct_rows(rows[:2])
-        assert oracle._distinct_rows(np.arange(12, dtype=np.int64).reshape(6, 2))
+        assert not distinct(rows)
+        assert distinct(rows[:2])
+        assert distinct(np.arange(12, dtype=np.int64).reshape(6, 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_squares_that_could_wrap_are_refused(self, n, monkeypatch):
+        monkeypatch.setattr(oracle, "_component_basis_rows",
+                            lambda n: [rows << 30 for rows in _basis_rows(n)])
+        with pytest.raises(OverflowError):
+            verify_special_sets(n)
+
+    def test_memory_stays_below_one_family(self):
+        # a whole family of MC(5) is 2^16 rows of 32 int64, 16 MB; numpy
+        # reports its buffers to tracemalloc
+        tracemalloc.start()
+        try:
+            assert verify_special_sets(5).ok
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20
 
     def test_hash_weights(self):
         assert len(set(oracle._HASH_WEIGHTS)) == 32
