@@ -240,13 +240,13 @@ def _work(args) -> int:
     r-involutions 5 to 10 us per composition and 16 to 30 ns per
     permutation and symbol (r = 10^5 took 0.50 s at N = 1, r = 60 took
     0.31 s at N = 8; past N = 8 the walk scores above 10^16).  The
-    preserving generator with its involution checks takes 12 to 13 us per
-    map at n = 5 and 6 (N = 16 and 32), 1.2 to 2.8 ns per operation, and
+    preserving generator with its involution checks takes 8 to 15 us per
+    map at n = 5 and 6 (N = 16 and 32), 1.0 to 3.0 ns per operation, and
     enumerate preserving at n = 5 about 0.9 us per JSON value and 2.6 KB
     of memory per row held.
     The default budget, 10^10, admits calls of up to 19 s: count
     involutions --n 18 (9.7e9) and count preserving --n 520 (9.3e9) took
-    19 s; verify --suite preserving --n 6 (7.3e9) 9 to 10 s, verify
+    19 s; verify --suite preserving --n 6 (7.3e9) 7.5 to 10.3 s, verify
     --suite r-involutions --n 4 --r 840 (8.1e9) 5 to 7 s, verify --suite
     automorphisms --n 3 (5.8e9) 0.4 to 0.6 s, apply --n 16 (8.4e9) 1.3 s,
     enumerate preserving --n 5 (9.5e8) 0.7 s, verify --suite special --n 5

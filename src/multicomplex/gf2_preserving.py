@@ -24,10 +24,10 @@ map composes with itself to the identity on the nose.
 The generator walks kernels K (RREF-canonical subspaces containing the
 all-ones vector), a fixed complement per kernel, and ordered independent
 image tuples w inside K.  Y^T sends the i-th complement vector to w_i and K
-to 0, so ker(Y^T) = K: the 2^k admissible sign vectors are the complement
-combination p with Y^T p = c, found by one GF(2) solve, plus each vector
-of K.  They are emitted in increasing order, so the output order is
-deterministic.
+to 0, so ker(Y^T) = K.  Each unit block's questions are GF(2) linear maps,
+tabulated at every input by doubling: the 2^k admissible sign vectors are
+the inputs s with Y^T s = c, emitted in increasing order, so the output
+order is deterministic.
 """
 from __future__ import annotations
 
@@ -53,6 +53,21 @@ _MAX_WIDTH = 64
 
 def _parity(x: int) -> int:
     return x.bit_count() & 1
+
+
+def _transpose(vectors: Sequence[int], width: int) -> list[int]:
+    """The width rows of the bit matrix whose columns are the vectors."""
+    return [sum(((v >> r) & 1) << c for c, v in enumerate(vectors))
+            for r in range(width)]
+
+
+def _linear_table(columns: Sequence[int]) -> list[int]:
+    """A GF(2) linear map at every input, by doubling: entry x is the XOR of
+    columns[j] over the set bits j of x, for all x < 2^len(columns)."""
+    table = [0]
+    for column in columns:
+        table += [u ^ column for u in table]
+    return table
 
 
 @dataclass(frozen=True, slots=True)
@@ -81,11 +96,7 @@ class GF2Matrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[int], n_rows: int) -> "GF2Matrix":
-        rows = [0] * n_rows
-        for c, col in enumerate(columns):
-            for r in range(n_rows):
-                rows[r] |= ((col >> r) & 1) << c
-        return cls(n_rows, len(columns), rows)
+        return cls(n_rows, len(columns), _transpose(columns, n_rows))
 
     def column(self, j: int) -> int:
         out = 0
@@ -193,14 +204,7 @@ class GF2Subspace:
 
     def spanned(self) -> Iterator[int]:
         """All 2^dim vectors of the subspace (combination order, not sorted)."""
-        for mask in range(1 << self.dimension):
-            v = 0
-            m = mask
-            while m:
-                low = m & -m
-                v ^= self.basis[low.bit_length() - 1]
-                m ^= low
-            yield v
+        return iter(_linear_table(self.basis))
 
     def __repr__(self) -> str:
         rows = ", ".join(f"0b{r:0{max(self.width, 1)}b}" for r in self.basis)
@@ -308,13 +312,12 @@ def _component_tables(n: int,
     component t + 1 to signed[s & 1][t ^ x], x = (beta ^ s ^ (s >> 1)) mod
     2^(n-1), a 1-based signed component.
 
-    The component map is affine over GF(2) in the component index t:
-    component t goes to u = inv (t xor beta_s), with a sign that is affine
-    in u.  The matrix inv depends on the masks alone, so one small matrix
-    inversion covers the whole unit block, and the table t -> inv t is
-    built by linearity, doubling over the columns of inv.  Since inv t xor
-    inv x = inv (t xor x), a sign vector moves only the index x read from
-    the table and the sign's constant, bit 0 of s.
+    Component u goes to t = lam u xor beta_s, with a sign affine in u.  The
+    matrix lam and the sign's linear part depend on the masks alone, so one
+    table of u -> lam u and the sign functional covers the whole unit block;
+    scattering +-(u + 1) into slot lam u gives the inverse permutation.
+    Since lam is linear, a sign vector moves only the index x read from the
+    table and the sign's constant, bit 0 of s.
 
     The table is checked to be a permutation, so every map's images, a
     reindexing by a XOR, are a signed permutation too.
@@ -328,22 +331,20 @@ def _component_tables(n: int,
         coef, const = _linear_value_form(m_lo ^ m_hi)
         lam_rows.append(coef)
         beta |= (_parity(m_lo & m_hi) ^ const) << r
-    inv = solve(GF2Matrix(nbits, nbits, lam_rows), GF2Matrix.identity(nbits))
-    table = [0]
-    for j in range(nbits):
-        column = inv.column(j)
-        table += [u ^ column for u in table]
-    if len(set(table)) != len(table):
-        raise RuntimeError(f"component table of unit block {list(masks)} "
-                           "is not a permutation")
     scoef, sconst = _linear_value_form(masks[0] ^ 1)
     sbase = sconst ^ (0 if masks[0] & 1 else 1)
-    signed = [
-        tuple([-(u + 1) if _parity(scoef & u) ^ sbase ^ c else u + 1
-               for u in table])
-        for c in (0, 1)
-    ]
-    return beta, signed
+    # entry u: lam u in the low nbits, parity(scoef & u) in bit nbits
+    lam_columns = _transpose(lam_rows, nbits)
+    forward = _linear_table([column | ((scoef >> j) & 1) << nbits
+                             for j, column in enumerate(lam_columns)])
+    low = (1 << nbits) - 1
+    row = [0] * (low + 1)
+    for u, image in enumerate(forward):
+        row[image & low] = -(u + 1) if (image >> nbits) ^ sbase else u + 1
+    if 0 in row:
+        raise RuntimeError(f"component table of unit block {list(masks)} "
+                           "is not a permutation")
+    return beta, [tuple(row), tuple([-v for v in row])]
 
 
 def _xor_gathers(nbits: int) -> list:
@@ -362,16 +363,24 @@ def unit_images_to_automorphism(images: Sequence[tuple[int, int]],
     """Build the automorphism sending each generator i_k to the signed
     canonical unit sign * (unit with mask), given as (sign, mask) pairs.
 
-    Raises ValueError when an image squares to +1 (even number of unit
-    factors) or when the masks are linearly dependent over GF(2), in which
-    case the induced map sends some elementary idempotent outside the
-    elementary set and is no ring automorphism.
+    Raises TypeError when a sign or mask is not an integer, and ValueError
+    when an image squares to +1 (even number of unit factors) or when the
+    masks are linearly dependent over GF(2), in which case the induced map
+    sends some elementary idempotent outside the elementary set and is no
+    ring automorphism.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if len(images) != n:
         raise ValueError(f"expected {n} images, got {len(images)}")
     masks = []
     signs = 0
     for k, (sign, mask) in enumerate(images):
+        try:
+            sign, mask = operator.index(sign), operator.index(mask)
+        except TypeError:
+            raise TypeError(f"image {k}: sign and mask must be integers, "
+                            f"got {sign!r} and {mask!r}") from None
         if sign not in (1, -1):
             raise ValueError(f"sign must be +-1, got {sign}")
         if not 0 <= mask < (1 << n):
@@ -454,35 +463,25 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
                     break
             mixed = GF2Matrix.from_columns(list(kernel.basis) + complement, n)
             inv = solve(mixed, GF2Matrix.identity(n))
-            # coordinates along the complement: complement[i] -> e_i, kernel -> 0
-            coords = GF2Matrix(n - k, n, inv.rows[k:])
-            # the sign vectors of a block are a coset of the kernel, so
-            # they are distinct when the kernel's vectors are
-            kernel_vectors = list(kernel.spanned())
-            if len(set(kernel_vectors)) != len(kernel_vectors):
-                raise RuntimeError("duplicate involution emitted")
+            # coords[i]: the coordinates of e_i along the complement
+            coords = _transpose(inv.rows[k:], n)
             for wtuple in _independent_tuples(kernel, n - k):
-                images = GF2Matrix.from_columns(wtuple, n)
-                yt = images @ coords  # Y transposed; its kernel is `kernel`
-                masks = [row ^ (1 << j) for j, row in enumerate(yt.rows)]
+                # Y^T sends complement[i] to wtuple[i] and the kernel to 0;
+                # its columns are the rows of Y = M + I
+                images = _linear_table(wtuple)
+                yt_columns = [images[c] for c in coords]
+                block = tuple([c ^ (1 << i) for i, c in enumerate(yt_columns)])
+                masks = _transpose(block, n)
                 carry = _carry_vector(masks)
-                # Y^T s = c: images @ t = c fixes the complement part t of s,
-                # and the kernel part is free
-                try:
-                    t = solve(images, GF2Matrix.from_columns([carry], n)).rows
-                except ValueError:
-                    raise RuntimeError(
-                        "sign system inconsistent; no exact involution for "
-                        f"unit block {masks}"
-                    )
-                particular = 0
-                for vec, bit in zip(complement, t):
-                    if bit:
-                        particular ^= vec
-                block = GF2Matrix.from_columns(masks, n).rows
+                yt = _linear_table(yt_columns)
+                # Y^T s = c: a coset of ker(Y^T) = kernel, in increasing order
+                signs = [s for s in range(1 << n) if yt[s] == carry]
+                if len(signs) != 1 << k:
+                    raise RuntimeError("sign system inconsistent; no exact "
+                                       f"involution for unit block {masks}")
                 beta, signed = _component_tables(n, masks)
                 # a map reads its block's signed table at t ^ x, in one gather
-                for s in sorted(particular ^ x for x in kernel_vectors):
+                for s in signs:
                     perm = gathers[(beta ^ s ^ (s >> 1)) & low](signed[s & 1])
                     yield (_from_rows(n + 1, block + (s | (1 << n),)),
                            _from_images(n, perm))

@@ -21,6 +21,7 @@ from multicomplex import (
 )
 from multicomplex.gf2_preserving import (
     _independent_tuples,
+    _linear_table,
     _linear_value_form,
     _parity,
     _rank,
@@ -610,15 +611,12 @@ class TestPerBlockActions:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_corrupted_component_table_raises(self, n, monkeypatch):
-        def singular(matrix, targets):
-            # the inversion of a unit block is the only solve with n - 1
-            # rows: zeroing it makes the table t -> inv t constant
-            out = solve(matrix, targets)
-            if matrix.n_rows == n - 1:
-                return GF2Matrix(out.n_rows, out.n_cols, [0] * out.n_rows)
-            return out
+        def singular(w):
+            # a zero coefficient makes the block's component map u -> lam u
+            # constant, so it fills one slot of the table
+            return 0, _linear_value_form(w)[1]
 
-        monkeypatch.setattr(gf2_preserving, "solve", singular)
+        monkeypatch.setattr(gf2_preserving, "_linear_value_form", singular)
         with pytest.raises(RuntimeError, match="not a permutation"):
             next(enumerate_preserving_involutions(n))
         identity = [(1, 1 << k) for k in range(n)]
@@ -626,7 +624,7 @@ class TestPerBlockActions:
             unit_images_to_automorphism(identity, n)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_one_inversion_per_kernel_and_per_unit_block(self, n, monkeypatch):
+    def test_one_solve_per_kernel_and_none_per_unit_block(self, n, monkeypatch):
         calls = []
 
         def counted(matrix, targets):
@@ -635,10 +633,52 @@ class TestPerBlockActions:
 
         monkeypatch.setattr(gf2_preserving, "solve", counted)
         assert sum(1 for _ in enumerate_preserving_involutions(n)) == count_preserving(n)
-        # per unit block, one solve for the signs and one inversion
-        expected = sum(
-            count_subspaces_containing_all_ones(k, n)
-            * (1 + 2 * count_independent_image_tuples(k, n))
-            for k in range((n + 1) // 2, n + 1)
-        )
-        assert len(calls) == expected
+        # per kernel, one inversion for the complement coordinates
+        expected = sum(count_subspaces_containing_all_ones(k, n)
+                       for k in range((n + 1) // 2, n + 1))
+        assert calls == [n] * expected
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_inconsistent_sign_system_raises(self, n, monkeypatch):
+        carry_vector = gf2_preserving._carry_vector
+        identity = [1 << j for j in range(n)]
+
+        def off_image(masks):
+            # the identity block, the last one walked, has Y = 0, so the
+            # image of its Y^T is {0} and any nonzero carry is outside it
+            return carry_vector(masks) | (masks == identity)
+
+        monkeypatch.setattr(gf2_preserving, "_carry_vector", off_image)
+        emitted = 0
+        with pytest.raises(RuntimeError, match="sign system inconsistent"):
+            for _ in enumerate_preserving_involutions(n):
+                emitted += 1
+        assert emitted == count_preserving(n) - 2 ** n
+
+    @given(st.lists(st.integers(0, 255), max_size=8))
+    def test_linear_table_is_the_xor_over_the_bits_of_each_index(self, columns):
+        table = _linear_table(columns)
+        assert len(table) == 1 << len(columns)
+        for x, value in enumerate(table):
+            naive = 0
+            for j, column in enumerate(columns):
+                if (x >> j) & 1:
+                    naive ^= column
+            assert value == naive
+
+    @pytest.mark.parametrize("images, n, error, message", [
+        ([], 0, ValueError, "n must be at least 1"),
+        ([(1, 1)], 0, ValueError, "n must be at least 1"),
+        ([(1, 1.0)], 1, TypeError, "sign and mask must be integers"),
+        ([(1.0, 1)], 1, TypeError, "sign and mask must be integers"),
+        ([(1, "1")], 1, TypeError, "sign and mask must be integers"),
+        ([("-1", 1)], 1, TypeError, "sign and mask must be integers"),
+    ], ids=["no-images", "n-zero", "float-mask", "float-sign", "text-mask",
+            "text-sign"])
+    def test_unit_images_are_validated(self, images, n, error, message):
+        with pytest.raises(error, match=message):
+            unit_images_to_automorphism(images, n)
+
+    def test_bool_unit_images_read_as_ints(self):
+        images = [(True, True), (1, 0b10)]
+        assert unit_images_to_automorphism(images, 2) == Automorphism.identity(2)
