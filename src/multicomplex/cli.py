@@ -2,23 +2,22 @@
 
 Subcommands: count, enumerate, apply, verify, table.  Exit codes: 0 on
 success, 1 on domain errors (bad n, bad permutation text, too much
-estimated work), 2 when a verification suite fails.  JSON output is
-deterministic: keys are sorted and list order is the canonical enumeration
-order.  The default output
-format may be set with the MULTICOMPLEX_FORMAT environment variable.
+estimated work), 2 when a verification suite fails or a listing's length
+differs from its closed-form count.  JSON output is deterministic: keys
+are sorted and list order is the canonical enumeration order.  The default
+output format may be set with the MULTICOMPLEX_FORMAT environment variable.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import os
 import sys
 from decimal import Decimal
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import BudgetExceeded, counting
 from .automorphism import (
@@ -242,21 +241,21 @@ def _work(args) -> int:
     0.31 s at N = 8; past N = 8 the walk scores above 10^16).  The
     preserving generator with its involution checks takes 8 to 15 us per
     map at n = 5 and 6 (N = 16 and 32), 1.0 to 3.0 ns per operation, and
-    enumerate preserving at n = 5 about 0.9 us per JSON value and 2.6 KB
-    of memory per row held.
+    enumerate preserving at n = 5 about 1 us per JSON value; it prints each
+    row as it is made, at the 17 MB peak RSS of verify --suite preserving.
     The default budget, 10^10, admits calls of up to 19 s: count
     involutions --n 18 (9.7e9) and count preserving --n 520 (9.3e9) took
     19 s; verify --suite preserving --n 6 (7.3e9) 7.5 to 10.3 s, verify
     --suite r-involutions --n 4 --r 840 (8.1e9) 5 to 7 s, verify --suite
     automorphisms --n 3 (5.8e9) 0.4 to 0.6 s, apply --n 16 (8.4e9) 1.3 s,
-    enumerate preserving --n 5 (9.5e8) 0.7 s, verify --suite special --n 5
+    enumerate preserving --n 5 (9.5e8) 0.9 to 1.2 s, verify --suite special --n 5
     (4.0e8) 0.24 to 0.35 s at a peak RSS of 39 MB, since it streams the
     special families in blocks, and verify --suite preserving --n 4
     (2.6e8) 0.1 s, each run in-process through run().  It refuses count
     r-involutions --n 13 --r 720720 (4.8e10, 80 s), verify --suite
     r-involutions --n 3 --r 1000000 (1.3e10), enumerate automorphisms
     --n 4 (8.3e10) and enumerate preserving --n 6 (7.3e10: 759,936 rows
-    of 87 values, by the n = 5 figures about 60 s and 3 GB).
+    of 87 values, by the n = 5 figures about 60 s).
     """
     if args.command == "table":
         if args.max_n < 1:
@@ -328,21 +327,39 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _special_csv(n: int, kind: SpecialSetKind) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, quoting=csv.QUOTE_NONNUMERIC, lineterminator="\n")
-    header = [unit_name(mask) or "1" for mask in range(1 << n)]
-    writer.writerow(header)
+def _print_listing(fields: dict, key: str, items: Iterable) -> int:
+    """Print json.dumps({**fields, key: list(items)}, sort_keys=True) and a
+    newline, one item at a time, never holding the list; returns the
+    number of items printed."""
+    opening = f"{json.dumps(key)}: ["
+    head, tail = json.dumps({**fields, key: []}, sort_keys=True).split(opening + "]")
+    sys.stdout.write(head + opening)
+    printed = 0
+    for item in items:
+        sys.stdout.write(", " * bool(printed) + json.dumps(item, sort_keys=True))
+        printed += 1
+    sys.stdout.write(f"]{tail}\n")
+    return printed
+
+
+def _print_special_csv(n: int, kind: SpecialSetKind) -> None:
+    writer = csv.writer(sys.stdout, quoting=csv.QUOTE_NONNUMERIC,
+                        lineterminator="\n")
+    writer.writerow([unit_name(mask) or "1" for mask in range(1 << n)])
     for eta in enumerate_special(kind, n):
-        row = []
-        for mask in range(1 << n):
-            coeff = eta.coeff(mask)
-            if coeff.exp == 0:
-                row.append(coeff.num)
-            else:
-                row.append(str(coeff))
-        writer.writerow(row)
-    return buf.getvalue()
+        coeffs = [eta.coeff(mask) for mask in range(1 << n)]
+        writer.writerow([c.num if c.exp == 0 else str(c) for c in coeffs])
+
+
+def _preserving_rows(n: int) -> Iterator[dict]:
+    for matrix, auto in enumerate_preserving_involutions(n):
+        masks, sign_bits = matrix_unit_data(matrix)
+        yield {
+            "matrix": matrix.to_lists(),
+            "unit_images": [("-" if s else "") + unit_name(m)
+                            for m, s in zip(masks, sign_bits)],
+            "permutation": auto.perm.to_json_dict(),
+        }
 
 
 def _cmd_enumerate(args) -> int:
@@ -358,34 +375,31 @@ def _cmd_enumerate(args) -> int:
             raise _UsageError("enumerate special needs --kind")
         kind = SpecialSetKind(args.kind)
         if fmt == "csv":
-            sys.stdout.write(_special_csv(n, kind))
+            _print_special_csv(n, kind)
         else:
-            elements = [x.to_json_dict() for x in enumerate_special(kind, n)]
-            _emit_json({"n": n, "kind": kind.value, "elements": elements})
+            _print_listing({"n": n, "kind": kind.value}, "elements",
+                           (x.to_json_dict() for x in enumerate_special(kind, n)))
         return 0
 
+    # the count is printed before the items, so it comes from the closed
+    # form, and any error it raises comes before the first byte
     if what == "preserving":
-        rows = []
-        for matrix, auto in enumerate_preserving_involutions(n):
-            masks, sign_bits = matrix_unit_data(matrix)
-            names = [("-" if s else "") + unit_name(m)
-                     for m, s in zip(masks, sign_bits)]
-            rows.append({
-                "matrix": matrix.to_lists(),
-                "unit_images": names,
-                "permutation": auto.perm.to_json_dict(),
-            })
-        _emit_json({"n": n, "count": len(rows), "involutions": rows})
-        return 0
-
-    if what == "automorphisms":
-        autos = enumerate_automorphisms(n)
-    elif what == "involutions":
-        autos = enumerate_r_involutions(n, 2)
+        count = counting.count_preserving(n)
+        key, items = "involutions", _preserving_rows(n)
     else:
-        autos = enumerate_r_involutions(n, args.r)
-    listing = [a.perm.to_json_dict() for a in autos]
-    _emit_json({"n": n, "count": len(listing), "automorphisms": listing})
+        if what == "automorphisms":
+            count, autos = counting.count_automorphisms(n), enumerate_automorphisms(n)
+        elif what == "involutions":
+            count, autos = counting.count_involutions(n), enumerate_r_involutions(n, 2)
+        else:
+            count = counting.count_r_involutions(n, args.r)
+            autos = enumerate_r_involutions(n, args.r)
+        key, items = "automorphisms", (a.perm.to_json_dict() for a in autos)
+    printed = _print_listing({"n": n, "count": count}, key, items)
+    if printed != count:
+        print(f"error: printed {printed} items under \"count\": {count}; "
+              "stdout is wrong", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -477,12 +491,10 @@ def _cmd_table(args) -> int:
         if fmt == "json":
             _emit_json(rows)
         elif fmt == "csv":
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
+            writer = csv.writer(sys.stdout, lineterminator="\n")
             writer.writerow(["n", "involutions"])
             for row in rows:
                 writer.writerow([row["n"], row["involutions"]])
-            sys.stdout.write(buf.getvalue())
         else:
             print("| n | involutions |")
             print("|---|---|")

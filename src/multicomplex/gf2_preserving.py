@@ -24,10 +24,12 @@ map composes with itself to the identity on the nose.
 The generator walks kernels K (RREF-canonical subspaces containing the
 all-ones vector), a fixed complement per kernel, and ordered independent
 image tuples w inside K.  Y^T sends the i-th complement vector to w_i and K
-to 0, so ker(Y^T) = K.  Each unit block's questions are GF(2) linear maps,
-tabulated at every input by doubling: the 2^k admissible sign vectors are
-the inputs s with Y^T s = c, emitted in increasing order, so the output
-order is deterministic.
+to 0, so ker(Y^T) = K.  Every GF(2) question is a linear map, tabulated at
+every input by doubling.  The image tuples are the permutations of K's
+sorted nonzero vectors whose table vanishes only at input 0, so they come
+in lexicographic order.  Per unit block, the 2^k admissible sign vectors
+are the inputs s with Y^T s = c, emitted in increasing order, so the
+output order is deterministic.
 """
 from __future__ import annotations
 
@@ -56,9 +58,17 @@ def _parity(x: int) -> int:
 
 
 def _transpose(vectors: Sequence[int], width: int) -> list[int]:
-    """The width rows of the bit matrix whose columns are the vectors."""
-    return [sum(((v >> r) & 1) << c for c, v in enumerate(vectors))
-            for r in range(width)]
+    """The width rows of the bit matrix whose columns are the vectors; bits
+    at or past width are ignored."""
+    rows = [0] * width
+    keep = (1 << width) - 1
+    for c, v in enumerate(vectors):
+        v &= keep
+        while v:
+            low = v & -v
+            rows[low.bit_length() - 1] |= 1 << c
+            v ^= low
+    return rows
 
 
 def _linear_table(columns: Sequence[int]) -> list[int]:
@@ -97,26 +107,6 @@ class GF2Matrix:
     @classmethod
     def from_columns(cls, columns: Sequence[int], n_rows: int) -> "GF2Matrix":
         return cls(n_rows, len(columns), _transpose(columns, n_rows))
-
-    def column(self, j: int) -> int:
-        out = 0
-        for i, row in enumerate(self.rows):
-            out |= ((row >> j) & 1) << i
-        return out
-
-    def __matmul__(self, other: "GF2Matrix") -> "GF2Matrix":
-        if self.n_cols != other.n_rows:
-            raise ValueError("shape mismatch")
-        out = []
-        for row in self.rows:
-            acc = 0
-            r = row
-            while r:
-                low = r & -r
-                acc ^= other.rows[low.bit_length() - 1]
-                r ^= low
-            out.append(acc)
-        return GF2Matrix(self.n_rows, other.n_cols, out)
 
     def to_lists(self) -> list[list[int]]:
         return [
@@ -160,10 +150,6 @@ def _rref(rows: Iterable[int], n_cols: int) -> tuple[list[int], list[int]]:
     return done, pivots
 
 
-def _rank(matrix: GF2Matrix) -> int:
-    return len(_rref(matrix.rows, matrix.n_cols)[1])
-
-
 @dataclass(frozen=True, slots=True)
 class GF2Subspace:
     """A subspace of GF(2)^width, spanned by any vectors and stored as its
@@ -192,15 +178,6 @@ class GF2Subspace:
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def reduce(self, vec: int) -> int:
-        for row, p in zip(self.basis, self.pivots):
-            if (vec >> p) & 1:
-                vec ^= row
-        return vec
-
-    def contains(self, vec: int) -> bool:
-        return self.reduce(vec) == 0
 
     def spanned(self) -> Iterator[int]:
         """All 2^dim vectors of the subspace (combination order, not sorted)."""
@@ -262,23 +239,11 @@ def enumerate_subspaces_containing_e(n: int, k: int) -> Iterator[GF2Subspace]:
 
 def _independent_tuples(space: GF2Subspace, count: int) -> Iterator[tuple[int, ...]]:
     """Ordered linearly independent count-tuples of nonzero vectors from the
-    subspace, in increasing lexicographic order."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    subspace, in increasing lexicographic order: the tuples none of whose
+    nonzero combinations vanishes."""
     elems = sorted(v for v in space.spanned() if v)
-
-    def rec(chosen: list[int]) -> Iterator[tuple[int, ...]]:
-        if len(chosen) == count:
-            yield tuple(chosen)
-            return
-        span = GF2Subspace(space.width, chosen)
-        for v in elems:
-            if not span.contains(v):
-                chosen.append(v)
-                yield from rec(chosen)
-                chosen.pop()
-
-    yield from rec([])
+    return (t for t in itertools.permutations(elems, count)
+            if 0 not in _linear_table(t)[1:])
 
 
 def _linear_value_form(w: int) -> tuple[int, int]:
@@ -392,7 +357,7 @@ def unit_images_to_automorphism(images: Sequence[tuple[int, int]],
             )
         masks.append(mask)
         signs |= (sign < 0) << k
-    if _rank(GF2Matrix.from_columns(masks, n)) != n:
+    if GF2Subspace(n, masks).dimension != n:
         raise ValueError(
             "image masks are linearly dependent over GF(2); the induced map "
             "collapses idempotent components and is not an automorphism"
@@ -408,7 +373,7 @@ def matrix_unit_data(matrix: GF2Matrix) -> tuple[list[int], list[int]]:
     column j < n holds masks[j] above sign bit j, and the last column is
     zero above the affine corner 1."""
     n = matrix.n_cols - 1
-    masks = [matrix.column(j) & ((1 << n) - 1) for j in range(n)]
+    masks = _transpose(matrix.rows[:n], n)
     sign_bits = [(matrix.rows[n] >> j) & 1 for j in range(n)]
     return masks, sign_bits
 
@@ -453,14 +418,12 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
             enumerate_subspaces_containing_e(n, k), key=lambda s: s.basis
         )
         for kernel in kernels:
-            complement = []
-            for j in range(n):
-                cand = 1 << j
-                probe = GF2Subspace(n, [*kernel.basis, *complement, cand])
-                if probe.dimension == k + len(complement) + 1:
+            # greedily, each unit vector outside the span so far
+            spanned, complement = set(kernel.spanned()), []
+            for cand in (1 << j for j in range(n)):
+                if cand not in spanned:
                     complement.append(cand)
-                if len(complement) == n - k:
-                    break
+                    spanned |= {v ^ cand for v in spanned}
             mixed = GF2Matrix.from_columns(list(kernel.basis) + complement, n)
             inv = solve(mixed, GF2Matrix.identity(n))
             # coords[i]: the coordinates of e_i along the complement

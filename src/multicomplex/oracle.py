@@ -379,20 +379,20 @@ def _component_basis_rows(n: int):
     return rows[0], rows[1]
 
 
-def _vectorized_square(C, n: int):
+def _vectorized_square(C, n: int, out):
     """Row-wise square of scaled coefficient vectors, by the direct
     convolution e_a e_b = (-1)^popcount(a & b) e_(a xor b).
 
     Each unit pair costs one product and one accumulation over a whole
     coefficient column, so the work runs on a column-contiguous copy of C
-    into one preallocated buffer.  The rows of the result are C's rows
-    squared.
+    into out, a C-ordered int64 array of C's transposed shape that the
+    caller may reuse.  The rows of the result, out.T, are C's rows squared.
     """
     import numpy as np
 
     width = 1 << n
     cols = np.ascontiguousarray(C.T)
-    out = np.zeros_like(cols)
+    out.fill(0)
     term = np.empty_like(cols[0])
 
     def accumulate(sign: int, m: int) -> None:
@@ -550,8 +550,10 @@ def verify_special_sets(n: int) -> VerificationReport:
                     "rhs": str(literal[idx]),
                 })
 
-    # one pass of blocks per family: the squares, and a hash per row
-    cols = np.empty((width, size), dtype=np.int64)
+    # one pass of blocks per family: the squares, and a hash per row.
+    # Every block goes into a reused buffer: a fresh 1 MB array costs more
+    # in first-touch page faults than the arithmetic on it
+    cols, square_cols = np.empty((2, width, size), dtype=np.int64)
     hashes = np.empty(count, dtype=np.uint64)
     for kind in sources:
         target = None
@@ -562,7 +564,7 @@ def verify_special_sets(n: int) -> VerificationReport:
                 target[0] = -target[0]
         for start in starts:
             _family_block(sources[kind], start, size, out=cols)
-            squares = _vectorized_square(cols.T, n)
+            squares = _vectorized_square(cols.T, n, square_cols)
             expected = scale * cols.T if target is None else target
             bad = np.flatnonzero((squares != expected).any(axis=1))
             if bad.size:
@@ -591,14 +593,12 @@ def verify_special_sets(n: int) -> VerificationReport:
     # idempotents = (1 + one family) / 2; (1 + h)/2 for pattern p is the
     # idempotent of the complementary pattern, count - 1 - p, so the block
     # at start meets the idempotent block at count - start - size, reversed.
-    # Every block goes into a reused buffer: a fresh 1 MB array costs more
-    # in first-touch page faults than the arithmetic on it
     source = np.empty(width, dtype=np.intp)
     signs = np.empty((width, 1), dtype=np.int64)
     for m in range(width):
         sign, mm = unit_product(1, m)
         source[mm], signs[mm] = m, sign
-    h, other, work = cols, np.empty_like(cols), np.empty_like(cols)
+    h, other, work = cols, square_cols, np.empty_like(cols)
     i1_times = dyadic = halves = True
     for start in starts:
         _family_block(sources[SpecialSetKind.SQUARE_ONE], start, size, out=h)

@@ -1,7 +1,9 @@
 """End-to-end tests for the command-line interface, via run()."""
+import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -9,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -237,6 +240,40 @@ class TestEnumerate:
         _, second, _ = invoke(capsys, "enumerate", "preserving", "--n", "3")
         assert first == second
 
+    def test_preserving_listing_is_streamed(self):
+        # 576 rows, 125 KB of JSON, printed one row at a time
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                code = cli.run(["enumerate", "preserving", "--n", "4"])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < 1 << 20
+
+    @pytest.mark.parametrize("what, walk, key, count", [
+        ("preserving", "enumerate_preserving_involutions", "involutions", 6),
+        ("automorphisms", "enumerate_automorphisms", "automorphisms", 8),
+    ])
+    def test_a_dropped_map_exits_two(self, capsys, monkeypatch, what, walk, key,
+                                     count):
+        # the count is printed first, from the closed form, so a walk that
+        # falls short is caught only after stdout is written
+        full = getattr(cli, walk)
+        monkeypatch.setattr(cli, walk, lambda n: itertools.islice(full(n), 1, None))
+        code, out, err = invoke(capsys, "enumerate", what, "--n", "2")
+        assert code == 2
+        assert err == (f'error: printed {count - 1} items under "count": '
+                       f"{count}; stdout is wrong\n")
+        payload = json.loads(out)
+        assert payload["count"] == count
+        assert len(payload[key]) == count - 1
+
+    def test_domain_error_prints_nothing(self, capsys):
+        code, out, err = invoke(capsys, "enumerate", "r-involutions", "--n", "2",
+                                "--r", "0")
+        assert (code, out, err) == (1, "", "error: r must be at least 1\n")
+
 
 class TestApply:
     def write_element(self, tmp_path, payload):
@@ -442,6 +479,45 @@ PINNED_STDOUT = [
      "9c281bc614d6460157fbacefc67d939819eada59c32e792a8659cf41364587cd"),
     (("verify", "--suite", "all", "--n", "3"),
      "599627e56fa72860698cf53c30e87e390a932c4fed0c7db30654efbc1cba4425"),
+    # pinned while every listing was still built whole before printing
+    (("enumerate", "automorphisms", "--n", "1"),
+     "0083cba1b49ce54df03308f1e1971830cdd54e3a87376e8db1eac5e09f2ad09f"),
+    (("enumerate", "automorphisms", "--n", "2"),
+     "30eff5e6c6a37ec052ffb9410e1e3e1547d8bc88462f341a43f54387d0e6ed96"),
+    (("enumerate", "automorphisms", "--n", "3"),
+     "d2dd47e579f62e0dfe88f52ae259ea23c1c6ce60bb132802dda2c9d00f811652"),
+    (("enumerate", "involutions", "--n", "3"),
+     "de8535bdd4b642632d7537f5a9980925a3d6116f801f2883d54a2bae0d239ef1"),
+    (("enumerate", "r-involutions", "--n", "3", "--r", "4"),
+     "0b8e1340763ad77f8d3e5e44b49dda894254e1ea2c8325d2eb8a83b5176c5d6b"),
+    (("enumerate", "special", "--n", "1", "--kind", "minus-one"),
+     "bdf1fbc920d6541ab269238fb24705062fc50a9bba9e880c2457764ce7b01e7f"),
+    (("enumerate", "special", "--n", "1", "--kind", "one"),
+     "68df46e8636acf5549da05bf8cd29d4e45b72b948e6ade693f6947220a1990f8"),
+    (("enumerate", "special", "--n", "1", "--kind", "idempotent"),
+     "e5a15989c1408670f50e161d95043cc776d29222208f0ce63bcf71e6cfa79e3d"),
+    (("enumerate", "special", "--n", "4", "--kind", "minus-one"),
+     "569815b93eeb6483b58d9c4814d4b7c561c3dc232c48d50c309f8f8ece317e1c"),
+    (("enumerate", "special", "--n", "4", "--kind", "one"),
+     "dfe89b6df8909fecc726737645c6b8ed9b9d52a0138febbeef5c331ebf2b9b16"),
+    (("enumerate", "special", "--n", "4", "--kind", "idempotent"),
+     "13832ae8e68f563e96f115ee50b51b9414f57bbd3058801af763e1aeba24ff7b"),
+    (("enumerate", "special", "--n", "1", "--kind", "minus-one", "--format", "csv"),
+     "ba5826abc843dcb5429327345776747cf063e5b71751b88d3fbde6940552a762"),
+    (("enumerate", "special", "--n", "1", "--kind", "one", "--format", "csv"),
+     "14e66f077335f6d5e2735c0ec7c2e5c6d3df095837f03a0a0ff55ae318d85f84"),
+    (("enumerate", "special", "--n", "1", "--kind", "idempotent", "--format", "csv"),
+     "fa49769171995135a3a9359c9346016a53f2213ea6fd2efeea1f86ef5d354083"),
+    (("enumerate", "special", "--n", "4", "--kind", "minus-one", "--format", "csv"),
+     "a82de577e1d81501694e9a60180ef26d9f300ac6631b1ce3dffa8e488e03f169"),
+    (("enumerate", "special", "--n", "4", "--kind", "one", "--format", "csv"),
+     "2ea016ae06988d0c130ec9ac489addaac4fc184a1e19bd02f3f1e8020162e785"),
+    (("enumerate", "special", "--n", "4", "--kind", "idempotent", "--format", "csv"),
+     "e08542b70578e809081ca0b9e7724cd3ccb16dfd253b2fd76f0273704dd26d87"),
+    (("table", "--format", "csv"),
+     "08fb07feccc030be3dc45c73a251ea75ac3442dc0e0622c3209e0facc2256899"),
+    (("table", "--max-n", "9", "--format", "csv"),
+     "065e5ccb681051b9fec9ea2ebeb69caaac87f48eb200dbe4afd5878cf0ed2d12"),
 ]
 
 

@@ -139,7 +139,10 @@ class TestReplacedLoops:
             -1000, 1001, size=(n_rows, 1 << n), dtype=np.int64)
         if column_major:
             rows = np.asfortranarray(rows)
-        assert np.array_equal(oracle._vectorized_square(rows, n), loop_square(rows, n))
+        # a reused buffer still holds the squares of the block before
+        out = np.full((1 << n, n_rows), 7, dtype=np.int64)
+        assert np.array_equal(oracle._vectorized_square(rows, n, out),
+                              loop_square(rows, n))
 
     # blocks of four rows take the pattern bits past the table from n = 3 on
     @pytest.mark.parametrize("block_rows", [4, 4096])
@@ -550,8 +553,8 @@ class TestVerifySpecialSets:
         bad_row = (1 - 2 * ((11 >> np.arange(4)) & 1)) @ re_rows
         square = oracle._vectorized_square
 
-        def spoiled(C, n):
-            out = square(C, n)
+        def spoiled(C, n, out):
+            out = square(C, n, out)
             out[(C == bad_row).all(axis=1), 0] += 1
             return out
 
