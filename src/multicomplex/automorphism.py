@@ -23,7 +23,7 @@ from .idempotent import (
     from_idempotent,
     to_idempotent,
 )
-from .mc_core import MulticomplexNumber, _from_kernel
+from .mc_core import MulticomplexNumber, _from_fields
 
 __all__ = [
     "SignedPermutation",
@@ -68,7 +68,9 @@ class SignedPermutation:
         """self after other: (self.compose(other))(j) = self(other(j))."""
         if self.n_symbols != other.n_symbols:
             raise ValueError("size mismatch")
-        return SignedPermutation([self(other(j)) for j in range(1, self.n_symbols + 1)])
+        images = self.images
+        return SignedPermutation([images[v - 1] if v > 0 else -images[-v - 1]
+                                  for v in other.images])
 
     def inverse(self) -> "SignedPermutation":
         out = [0] * self.n_symbols
@@ -163,13 +165,17 @@ class Automorphism:
             raise ValueError(f"order mismatch: {eta.order} vs {self.order_n}")
         vec = to_idempotent(eta)
         nums = vec.nums
-        out = list(nums)
-        for j, v in enumerate(self.perm.images):
-            to = 2 * abs(v) - 2
-            out[to] = nums[2 * j]
-            out[to + 1] = nums[2 * j + 1] if v > 0 else -nums[2 * j + 1]
-        return from_idempotent(
-            _from_kernel(IdempotentVector, self.order_n, out, vec.exp))
+        out = [0] * len(nums)
+        for v, re, im in zip(self.perm.images, nums[::2], nums[1::2]):
+            if v > 0:
+                out[2 * v - 2] = re
+                out[2 * v - 1] = im
+            else:
+                out[-2 * v - 2] = re
+                out[-2 * v - 1] = -im
+        # moving and negating entries keeps the vector in lowest terms
+        return from_idempotent(_from_fields(
+            IdempotentVector, self.order_n, tuple(out), vec.exp))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         if self.order_n != other.order_n:

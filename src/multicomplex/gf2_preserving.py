@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .automorphism import Automorphism, _from_images
@@ -157,12 +157,10 @@ class GF2Subspace:
 
     The basis rows are sorted by pivot position (lowest set bit), and each
     pivot column contains a single 1, so equal subspaces compare equal.
-    The pivots are derived from the basis.
     """
 
     width: int
     basis: tuple[int, ...]
-    pivots: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "width", operator.index(self.width))
@@ -171,9 +169,8 @@ class GF2Subspace:
         vectors = list(self.basis)
         if any(v >> self.width for v in vectors):
             raise ValueError("vector bits beyond width")
-        basis, pivots = _rref(vectors, self.width)
+        basis, _ = _rref(vectors, self.width)
         object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def dimension(self) -> int:

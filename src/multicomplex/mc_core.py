@@ -11,9 +11,11 @@ idempotent decomposition.  An element is stored as one vector of 2^n
 integers over a shared power of two, kept in lowest terms, so equality is
 a comparison of fields.  The product goes through the idempotent transform:
 the integer kernels _split and _merge below take a vector to its 2^(n-1)
-complex components and back in O(n 2^n) steps, and components multiply
-one by one.  DyadicRational is the scalar view used for parsing, printing
-and reading single coefficients.  All values here are immutable.
+complex components and back in O(n 2^n) steps, two levels per pass over
+a table of index groups that is built once per order and kept (9.5 MB
+at n = 16, under 20 KB at n <= 8), and components multiply one by one.
+DyadicRational is the scalar view used for parsing, printing and reading
+single coefficients.  All values here are immutable.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -167,8 +169,13 @@ def _from_kernel(cls, order: int, nums: list[int], exp: int):
     over 2^exp, exp >= 0, that an integer kernel computed.  Only the common
     factors of two are stripped: the coercion and checks of the public
     constructor are for outside input."""
+    return _from_fields(cls, order, *_lowest_terms(nums, exp))
+
+
+def _from_fields(cls, order: int, nums: tuple[int, ...], exp: int):
+    """A MulticomplexNumber or IdempotentVector (cls) with these fields,
+    which the caller has proved valid and in lowest terms."""
     obj = object.__new__(cls)
-    nums, exp = _lowest_terms(nums, exp)
     object.__setattr__(obj, "order", order)
     object.__setattr__(obj, "nums", nums)
     object.__setattr__(obj, "exp", exp)
@@ -187,22 +194,79 @@ def _from_kernel(cls, order: int, nums: list[int], exp: int):
 #     (a, a', b, b') -> (a + b', a' - b, a - b', a' + b).
 # The merge undoes it up to a factor 2 per level, which the caller adds to
 # the exponent instead of dividing.
+#
+# The kernels take the levels two at a time, k and k - 1, from a table made
+# once per order.  With s = 2^(k-3), the eight entries j + m s, m = 0..7,
+# for j among the first s of a block of 8s, are closed under both levels:
+# level k acts on (i0, i2, i4, i6) and (i1, i3, i5, i7), level k - 1 on
+# (i0..i3) and (i4..i7).  So each group is read into locals once and
+# written back once, and no index is computed in the loop.  When n is even,
+# level 2 is left over and runs alone on the runs (b, b+1, b+2, b+3).  The
+# tuples share the ints of one range, so the table for n = 16 holds 9.5 MB
+# (1.9 MB at n = 14, 0.5 MB at n = 12, under 20 KB at n <= 8) and is built
+# in 40 to 60 ms, less than one pass of the kernels it drives.
+
+
+@lru_cache(maxsize=None)
+def _butterflies(n: int) -> tuple[tuple[tuple[int, ...], ...],
+                                  tuple[tuple[int, ...], ...]]:
+    """(groups, tail) for order n: the 8-index groups of the level pairs
+    (n, n-1), (n-2, n-3), ... in that order, and the 4-index runs of
+    level 2 when it is left over."""
+    width = 1 << n
+    ints = list(range(width))
+    groups = []
+    for level in range(n, 2, -2):
+        s = 1 << (level - 3)
+        for base in range(0, width, 8 * s):
+            groups += [tuple(ints[t:t + 8 * s:s]) for t in range(base, base + s)]
+    tail = [tuple(ints[b:b + 4]) for b in range(0, width, 4)] if n % 2 == 0 else []
+    return tuple(groups), tuple(tail)
 
 
 def _split(nums, n: int) -> list[int]:
     """Idempotent components of a width-2^n vector: component j is
     (out[2j], out[2j+1]), on the same power of two as the input."""
+    # one statement per entry: a tuple assignment would build and unpack
+    # a tuple, which costs a third of the loop
     v = list(nums)
-    width = len(v)
-    for level in range(n, 1, -1):
-        half = 1 << (level - 1)
-        quarter = half >> 1
-        for base in range(0, width, 2 * half):
-            for j in range(base, base + quarter):
-                a, a2 = v[j], v[j + quarter]
-                b, b2 = v[j + half], v[j + half + quarter]
-                v[j], v[j + quarter] = a + b2, a2 - b
-                v[j + half], v[j + half + quarter] = a - b2, a2 + b
+    groups, tail = _butterflies(n)
+    for i0, i1, i2, i3, i4, i5, i6, i7 in groups:
+        x0 = v[i0]
+        x1 = v[i1]
+        x2 = v[i2]
+        x3 = v[i3]
+        x4 = v[i4]
+        x5 = v[i5]
+        x6 = v[i6]
+        x7 = v[i7]
+        # level k on (i0, i2, i4, i6) and (i1, i3, i5, i7)
+        y0 = x0 + x6
+        y2 = x2 - x4
+        y4 = x0 - x6
+        y6 = x2 + x4
+        y1 = x1 + x7
+        y3 = x3 - x5
+        y5 = x1 - x7
+        y7 = x3 + x5
+        # level k - 1 on (i0..i3) and (i4..i7)
+        v[i0] = y0 + y3
+        v[i1] = y1 - y2
+        v[i2] = y0 - y3
+        v[i3] = y1 + y2
+        v[i4] = y4 + y7
+        v[i5] = y5 - y6
+        v[i6] = y4 - y7
+        v[i7] = y5 + y6
+    for i0, i1, i2, i3 in tail:
+        a = v[i0]
+        a2 = v[i1]
+        b = v[i2]
+        b2 = v[i3]
+        v[i0] = a + b2
+        v[i1] = a2 - b
+        v[i2] = a - b2
+        v[i3] = a2 + b
     return v
 
 
@@ -210,16 +274,43 @@ def _merge(nums, n: int) -> list[int]:
     """Inverse of _split times 2^(n-1): the caller adds n - 1 to the
     exponent."""
     v = list(nums)
-    width = len(v)
-    for level in range(2, n + 1):
-        half = 1 << (level - 1)
-        quarter = half >> 1
-        for base in range(0, width, 2 * half):
-            for j in range(base, base + quarter):
-                a, a2 = v[j], v[j + quarter]
-                b, b2 = v[j + half], v[j + half + quarter]
-                v[j], v[j + quarter] = a + b, a2 + b2
-                v[j + half], v[j + half + quarter] = b2 - a2, a - b
+    groups, tail = _butterflies(n)
+    for i0, i1, i2, i3 in tail:
+        a = v[i0]
+        a2 = v[i1]
+        b = v[i2]
+        b2 = v[i3]
+        v[i0] = a + b
+        v[i1] = a2 + b2
+        v[i2] = b2 - a2
+        v[i3] = a - b
+    for i0, i1, i2, i3, i4, i5, i6, i7 in reversed(groups):
+        x0 = v[i0]
+        x1 = v[i1]
+        x2 = v[i2]
+        x3 = v[i3]
+        x4 = v[i4]
+        x5 = v[i5]
+        x6 = v[i6]
+        x7 = v[i7]
+        # undo level k - 1 on (i0..i3) and (i4..i7)
+        y0 = x0 + x2
+        y1 = x1 + x3
+        y2 = x3 - x1
+        y3 = x0 - x2
+        y4 = x4 + x6
+        y5 = x5 + x7
+        y6 = x7 - x5
+        y7 = x4 - x6
+        # undo level k on (i0, i2, i4, i6) and (i1, i3, i5, i7)
+        v[i0] = y0 + y4
+        v[i2] = y2 + y6
+        v[i4] = y6 - y2
+        v[i6] = y0 - y4
+        v[i1] = y1 + y5
+        v[i3] = y3 + y7
+        v[i5] = y7 - y3
+        v[i7] = y1 - y5
     return v
 
 

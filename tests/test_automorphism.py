@@ -5,10 +5,14 @@ from hypothesis import given, strategies as st
 from multicomplex import (
     Automorphism,
     DyadicRational,
+    IdempotentVector,
     MulticomplexNumber,
     SignedPermutation,
+    automorphism,
     enumerate_automorphisms,
     enumerate_r_involutions,
+    from_idempotent,
+    to_idempotent,
 )
 
 
@@ -61,6 +65,7 @@ class TestSignedPermutation:
     def test_compose_definition(self, pair):
         a, b = pair
         c = a.compose(b)
+        assert c.images == tuple(a(b(j)) for j in range(1, a.n_symbols + 1))
         for j in range(1, a.n_symbols + 1):
             assert c(j) == a(b(j))
             assert c(-j) == -c(j)
@@ -154,6 +159,32 @@ def elements(n):
     )
 
 
+def seeded_elements(n):
+    """Elements of MC(n) from a seeded generator, so that n = 8 stays
+    cheap: odd numerators over 2^exp with exp > 0, zeros among them, and
+    now and then the zero element."""
+    def build(rnd):
+        if rnd.random() < 0.1:
+            return MulticomplexNumber.zero(n)
+        nums = [0 if rnd.random() < 0.2 else 2 * rnd.randint(-64, 63) + 1
+                for _ in range(1 << n)]
+        return MulticomplexNumber(n, nums, rnd.randint(1, 6))
+    return st.randoms(use_true_random=False).map(build)
+
+
+def checked_apply(f, eta):
+    """Automorphism.apply through the checked IdempotentVector constructor,
+    which brings the moved vector to lowest terms again."""
+    vec = to_idempotent(eta)
+    nums = vec.nums
+    out = list(nums)
+    for j, v in enumerate(f.perm.images):
+        to = 2 * abs(v) - 2
+        out[to] = nums[2 * j]
+        out[to + 1] = nums[2 * j + 1] if v > 0 else -nums[2 * j + 1]
+    return from_idempotent(IdempotentVector(f.order_n, out, vec.exp))
+
+
 class TestAutomorphism:
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -196,6 +227,41 @@ class TestAutomorphism:
         f = Automorphism.identity(2)
         with pytest.raises(ValueError):
             f.apply(MulticomplexNumber.one(3))
+
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(automorphisms(n), seeded_elements(n))))
+    def test_apply_matches_the_checked_route(self, case):
+        f, x = case
+        y, z = f.apply(x), checked_apply(f, x)
+        assert type(y.nums) is tuple
+        assert (y.order, y.nums, y.exp) == (z.order, z.nums, z.exp)
+
+    def test_apply_transforms_once_each_way(self, monkeypatch):
+        # the benchmark's coverage counts read these two bindings
+        calls = []
+
+        def counted(name, kernel):
+            def wrapper(arg):
+                calls.append((name, arg))
+                return kernel(arg)
+            return wrapper
+
+        monkeypatch.setattr(automorphism, "to_idempotent",
+                            counted("to", automorphism.to_idempotent))
+        monkeypatch.setattr(automorphism, "from_idempotent",
+                            counted("from", automorphism.from_idempotent))
+        for n in range(1, 7):
+            N = 1 << (n - 1)
+            f = Automorphism(n, SignedPermutation(
+                [-j if j % 2 else j for j in range(N, 0, -1)]))
+            x = MulticomplexNumber(n, [2 * m - 7 for m in range(1 << n)], 3)
+            calls.clear()
+            assert f.apply(x) == checked_apply(f, x)
+            assert [name for name, _ in calls] == ["to", "from"]
+            moved = calls[1][1]
+            checked = IdempotentVector(moved.order, moved.nums, moved.exp)
+            assert type(moved.nums) is tuple
+            assert (moved.nums, moved.exp) == (checked.nums, checked.exp)
 
     @given(automorphisms(3), automorphisms(3), elements(3))
     def test_composition_matches_sequential_application(self, f, g, x):

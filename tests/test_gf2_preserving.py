@@ -30,6 +30,12 @@ from multicomplex.gf2_preserving import (
 )
 
 
+def pivots(space):
+    """The pivot columns of a canonical basis: the lowest set bit of each
+    row."""
+    return tuple((r & -r).bit_length() - 1 for r in space.basis)
+
+
 def entry(m, i, j):
     return (m.rows[i] >> j) & 1
 
@@ -200,7 +206,7 @@ class TestSubspace:
         s = GF2Subspace(3, [0b111, 0b110, 0b001])
         t = GF2Subspace(3, [0b001, 0b110])
         assert s == t
-        assert s.basis == (0b001, 0b110) and s.pivots == (0, 1)
+        assert s.basis == (0b001, 0b110) and pivots(s) == (0, 1)
         assert s.dimension == 2
 
     def test_equal_spans_are_equal(self):
@@ -210,7 +216,13 @@ class TestSubspace:
     def test_pivots_are_derived(self):
         with pytest.raises(TypeError):
             GF2Subspace(2, [0b11], [5])
-        assert 0b11 in set(GF2Subspace(2, [0b11]).spanned())
+        s = GF2Subspace(2, [0b11])
+        assert pivots(s) == (0,) and 0b11 in set(s.spanned())
+        # each pivot column holds a single 1, and pivots rise with the rows
+        t = GF2Subspace(4, [0b1111, 0b0110, 0b1100])
+        cols = pivots(t)
+        assert list(cols) == sorted(set(cols))
+        assert all(sum((r >> c) & 1 for r in t.basis) == 1 for c in cols)
 
     def test_width_and_bits_are_checked(self):
         with pytest.raises(ValueError):

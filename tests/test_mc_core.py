@@ -1,5 +1,7 @@
 """Tests for dyadic rationals, unit masks, and ring arithmetic."""
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from multicomplex import (
     unit_name,
     unit_product,
 )
+from multicomplex.mc_core import _butterflies, _merge, _split
 from multicomplex.oracle import _convolve
 
 
@@ -388,3 +391,86 @@ class TestKernelResults:
             assert (z.order, z.nums, z.exp) == (rebuilt.order, rebuilt.nums,
                                                 rebuilt.exp)
             assert z == rebuilt and hash(z) == hash(rebuilt)
+
+
+def loop_split(nums, n):
+    """The idempotent split one level at a time over nested index loops:
+    the reference for the table-driven kernel."""
+    v = list(nums)
+    width = len(v)
+    for level in range(n, 1, -1):
+        half = 1 << (level - 1)
+        quarter = half >> 1
+        for base in range(0, width, 2 * half):
+            for j in range(base, base + quarter):
+                a, a2 = v[j], v[j + quarter]
+                b, b2 = v[j + half], v[j + half + quarter]
+                v[j], v[j + quarter] = a + b2, a2 - b
+                v[j + half], v[j + half + quarter] = a - b2, a2 + b
+    return v
+
+
+def loop_merge(nums, n):
+    """Inverse of loop_split times 2^(n-1), one level at a time."""
+    v = list(nums)
+    width = len(v)
+    for level in range(2, n + 1):
+        half = 1 << (level - 1)
+        quarter = half >> 1
+        for base in range(0, width, 2 * half):
+            for j in range(base, base + quarter):
+                a, a2 = v[j], v[j + quarter]
+                b, b2 = v[j + half], v[j + half + quarter]
+                v[j], v[j + quarter] = a + b, a2 + b2
+                v[j + half], v[j + half + quarter] = b2 - a2, a - b
+    return v
+
+
+def big_vector(rnd, n, bits=200):
+    """2^n coefficients up to +-2^bits, a fifth of them zero."""
+    return [0 if rnd.random() < 0.2 else rnd.randint(-(1 << bits), 1 << bits)
+            for _ in range(1 << n)]
+
+
+class TestTransformKernels:
+    @given(st.integers(1, 10), st.integers(0, 200), st.randoms(use_true_random=False))
+    def test_equal_the_loops(self, n, bits, rnd):
+        x = big_vector(rnd, n, bits)
+        assert _split(x, n) == loop_split(x, n)
+        assert _merge(x, n) == loop_merge(x, n)
+        assert _merge(_split(x, n), n) == [a << (n - 1) for a in x]
+
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_large_orders_equal_the_loops(self, n):
+        x = big_vector(random.Random(n), n)
+        assert _split(x, n) == loop_split(x, n)
+        assert _merge(x, n) == loop_merge(x, n)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_each_level_pair_covers_every_index_once(self, n):
+        groups, tail = _butterflies(n)
+        width = 1 << n
+        pairs = (n - 1) // 2
+        assert len(groups) == pairs * (width // 8)
+        for p in range(pairs):
+            s = 1 << (n - 2 * p - 3)
+            chunk = groups[p * width // 8:(p + 1) * width // 8]
+            assert sorted(i for g in chunk for i in g) == list(range(width))
+            assert all(g == tuple(range(g[0], g[0] + 8 * s, s)) for g in chunk)
+        if n % 2:
+            assert tail == ()
+        else:
+            assert sorted(i for g in tail for i in g) == list(range(width))
+            assert all(g == tuple(range(g[0], g[0] + 4)) for g in tail)
+
+    def test_table_memory(self):
+        # the tuples share one range's ints: a 4-tuple per butterfly, each
+        # with its own ints, would hold 10.8 MB at this order
+        tracemalloc.start()
+        try:
+            table = _butterflies.__wrapped__(14)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table[0]) == 6 << 11 and len(table[1]) == 1 << 12
+        assert held < 3_000_000
