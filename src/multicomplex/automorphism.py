@@ -69,8 +69,8 @@ class SignedPermutation:
         if self.n_symbols != other.n_symbols:
             raise ValueError("size mismatch")
         images = self.images
-        return SignedPermutation([images[v - 1] if v > 0 else -images[-v - 1]
-                                  for v in other.images])
+        return _signed_permutation(tuple([images[v - 1] if v > 0 else -images[-v - 1]
+                                          for v in other.images]))
 
     def inverse(self) -> "SignedPermutation":
         out = [0] * self.n_symbols
@@ -161,12 +161,15 @@ class Automorphism:
     def apply(self, eta: MulticomplexNumber) -> MulticomplexNumber:
         """Act on an element: component j moves to |pi(j)|, conjugated if
         pi(j) < 0."""
-        if eta.order != self.order_n:
-            raise ValueError(f"order mismatch: {eta.order} vs {self.order_n}")
+        n = self.order_n
+        if eta.order != n:
+            raise ValueError(f"order mismatch: {eta.order} vs {n}")
         vec = to_idempotent(eta)
         nums = vec.nums
         out = [0] * len(nums)
-        for v, re, im in zip(self.perm.images, nums[::2], nums[1::2]):
+        # one iterator zipped twice reads the (re, im) pairs without slices
+        pairs = iter(nums)
+        for v, re, im in zip(self.perm.images, pairs, pairs):
             if v > 0:
                 out[2 * v - 2] = re
                 out[2 * v - 1] = im
@@ -174,8 +177,7 @@ class Automorphism:
                 out[-2 * v - 2] = re
                 out[-2 * v - 1] = -im
         # moving and negating entries keeps the vector in lowest terms
-        return from_idempotent(_from_fields(
-            IdempotentVector, self.order_n, tuple(out), vec.exp))
+        return from_idempotent(_from_fields(IdempotentVector, n, tuple(out), vec.exp))
 
     def compose(self, other: "Automorphism") -> "Automorphism":
         if self.order_n != other.order_n:
@@ -208,15 +210,21 @@ class Automorphism:
         return f"Automorphism(n={self.order_n}, pi={self.perm.to_text()})"
 
 
-def _from_images(n: int, images: tuple[int, ...]) -> Automorphism:
-    """The automorphism of MC(n) with the given signed images, which the
-    caller has proved a signed permutation of the 2^(n-1) components: the
-    checks of the public constructors are for outside input."""
+def _signed_permutation(images: tuple[int, ...]) -> SignedPermutation:
+    """The signed permutation with these images, which the caller has
+    proved one: the checks of the public constructor are for outside
+    input."""
     perm = object.__new__(SignedPermutation)
     object.__setattr__(perm, "images", images)
+    return perm
+
+
+def _from_images(n: int, images: tuple[int, ...]) -> Automorphism:
+    """The automorphism of MC(n) with the given signed images, which the
+    caller has proved a signed permutation of the 2^(n-1) components."""
     auto = object.__new__(Automorphism)
     object.__setattr__(auto, "order_n", n)
-    object.__setattr__(auto, "perm", perm)
+    object.__setattr__(auto, "perm", _signed_permutation(images))
     return auto
 
 

@@ -247,7 +247,7 @@ def _work(args) -> int:
     involutions --n 18 (9.7e9) and count preserving --n 520 (9.3e9) took
     19 s; verify --suite preserving --n 6 (7.3e9) 7.5 to 10.3 s, verify
     --suite r-involutions --n 4 --r 840 (8.1e9) 5 to 7 s, verify --suite
-    automorphisms --n 3 (5.8e9) 0.4 to 0.6 s, apply --n 16 (8.4e9) 0.9 to
+    automorphisms --n 3 (5.8e9) 0.2 to 0.3 s, apply --n 16 (8.4e9) 0.9 to
     1.0 s at a peak RSS of 66 MB, 9.5 MB of it the transform's index table,
     enumerate preserving --n 5 (9.5e8) 0.9 to 1.2 s, verify --suite special --n 5
     (4.0e8) 0.24 to 0.35 s at a peak RSS of 39 MB, since it streams the

@@ -12,8 +12,9 @@ integers over a shared power of two, kept in lowest terms, so equality is
 a comparison of fields.  The product goes through the idempotent transform:
 the integer kernels _split and _merge below take a vector to its 2^(n-1)
 complex components and back in O(n 2^n) steps, two levels per pass over
-a table of index groups that is built once per order and kept (9.5 MB
-at n = 16, under 20 KB at n <= 8), and components multiply one by one.
+a table of index groups that is built once per order and kept for the
+last four orders used (9.5 MB at n = 16, under 20 KB at n <= 8), and
+components multiply one by one.
 DyadicRational is the scalar view used for parsing, printing and reading
 single coefficients.  All values here are immutable.
 """
@@ -158,9 +159,11 @@ def _integer_vector(values: Iterable, exp: int) -> tuple[tuple[int, ...], int]:
 def _lowest_terms(nums, exp: int) -> tuple[tuple[int, ...], int]:
     """The int vector nums / 2^exp, exp >= 0, with the factors of two that
     all of nums share stripped."""
-    shift = _twos(reduce(operator.or_, nums, 0), exp) if exp else 0
-    if shift:
-        return tuple([v >> shift for v in nums]), exp - shift
+    if exp:
+        bits = reduce(operator.or_, nums, 0)
+        if not bits & 1:
+            shift = _twos(bits, exp)
+            return tuple([v >> shift for v in nums]), exp - shift
     return tuple(nums), exp
 
 
@@ -169,16 +172,26 @@ def _from_kernel(cls, order: int, nums: list[int], exp: int):
     over 2^exp, exp >= 0, that an integer kernel computed.  Only the common
     factors of two are stripped: the coercion and checks of the public
     constructor are for outside input."""
-    return _from_fields(cls, order, *_lowest_terms(nums, exp))
+    nums, exp = _lowest_terms(nums, exp)
+    return _from_fields(cls, order, nums, exp)
+
+
+@lru_cache(maxsize=None)
+def _field_setters(cls):
+    """The slot setters of order, nums and exp on cls: they write past the
+    frozen dataclass's __setattr__, and cost less than object.__setattr__,
+    which looks each name up first."""
+    return cls.order.__set__, cls.nums.__set__, cls.exp.__set__
 
 
 def _from_fields(cls, order: int, nums: tuple[int, ...], exp: int):
     """A MulticomplexNumber or IdempotentVector (cls) with these fields,
     which the caller has proved valid and in lowest terms."""
     obj = object.__new__(cls)
-    object.__setattr__(obj, "order", order)
-    object.__setattr__(obj, "nums", nums)
-    object.__setattr__(obj, "exp", exp)
+    set_order, set_nums, set_exp = _field_setters(cls)
+    set_order(obj, order)
+    set_nums(obj, nums)
+    set_exp(obj, exp)
     return obj
 
 
@@ -204,10 +217,13 @@ def _from_fields(cls, order: int, nums: tuple[int, ...], exp: int):
 # level 2 is left over and runs alone on the runs (b, b+1, b+2, b+3).  The
 # tuples share the ints of one range, so the table for n = 16 holds 9.5 MB
 # (1.9 MB at n = 14, 0.5 MB at n = 12, under 20 KB at n <= 8) and is built
-# in 40 to 60 ms, less than one pass of the kernels it drives.
+# in 40 to 60 ms, less than one pass of the kernels it drives.  The last four
+# orders used are kept: a run that moves between a few orders, such as the
+# oracles' 2 to 5, builds each table once, and a caller done with n = 18
+# does not hold its 43 MB for the life of the process.
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _butterflies(n: int) -> tuple[tuple[tuple[int, ...], ...],
                                   tuple[tuple[int, ...], ...]]:
     """(groups, tail) for order n: the 8-index groups of the level pairs
@@ -339,6 +355,13 @@ def unit_name(mask: int) -> str:
     if mask == 0:
         return ""
     return "*".join(f"i{k + 1}" for k in range(mask.bit_length()) if (mask >> k) & 1)
+
+
+@lru_cache(maxsize=4)
+def _unit_names(n: int) -> tuple[str, ...]:
+    """unit_name of every mask of order n, by mask: the keys of every
+    element's JSON form and the names in its text, made once per order."""
+    return tuple(map(unit_name, range(1 << n)))
 
 
 def parse_unit_name(name: str) -> int:
@@ -484,10 +507,11 @@ class MulticomplexNumber:
 
     def __str__(self) -> str:
         parts = []
+        names = _unit_names(self.order)
         for mask, a in enumerate(self.nums):
             if not a:
                 continue
-            name = unit_name(mask)
+            name = names[mask]
             text = _text(a, self.exp)
             if name:
                 text = {"1": name, "-1": f"-{name}"}.get(text, f"{text}*{name}")
@@ -503,9 +527,10 @@ class MulticomplexNumber:
         return f"MulticomplexNumber({self.order}: {self})"
 
     def to_json_dict(self) -> dict:
+        names, exp = _unit_names(self.order), self.exp
         return {
             "n": self.order,
-            "coeffs": {unit_name(m): _text(a, self.exp)
+            "coeffs": {names[m]: _text(a, exp)
                        for m, a in enumerate(self.nums) if a},
         }
 

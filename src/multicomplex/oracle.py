@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -234,28 +235,41 @@ def brute_count_preserving(n: int) -> int:
 # homomorphism verification
 
 
-def _convolve(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """The product of two coefficient rows by the direct convolution
-    e_a e_b = (-1)^popcount(a & b) e_(a xor b), in O(4^n) integer steps: the
-    reference the product through the idempotent transform is checked
-    against.  Rows over 2^s and 2^t give their product over 2^(s + t)."""
-    out = [0] * len(x)
-    right = [(b, cb) for b, cb in enumerate(y) if cb]
-    for a, ca in enumerate(x):
-        if ca:
-            for b, cb in right:
-                if (a & b).bit_count() & 1:
-                    out[a ^ b] -= ca * cb
-                else:
-                    out[a ^ b] += ca * cb
+def _terms(row: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonzero entries of a coefficient row, as (mask, coefficient)."""
+    return [(m, c) for m, c in enumerate(row) if c]
+
+
+def _convolve_terms(x: Sequence[tuple[int, int]], y: Sequence[tuple[int, int]],
+                    width: int) -> list[int]:
+    """The product of two elements given by their nonzero terms (_terms),
+    as a row of width entries, by the direct convolution
+    e_a e_b = (-1)^popcount(a & b) e_(a xor b): the reference the product
+    through the idempotent transform is checked against.  Terms over 2^s
+    and 2^t give their product over 2^(s + t)."""
+    out = [0] * width
+    for a, ca in x:
+        for b, cb in y:
+            if (a & b).bit_count() & 1:
+                out[a ^ b] -= ca * cb
+            else:
+                out[a ^ b] += ca * cb
     return out
 
 
-def _matches(x: MulticomplexNumber, row: list[int], exp: int) -> bool:
-    """Whether x is the element row / 2^exp.  x is in lowest terms, so it
-    is not when its exponent is the larger."""
+def _convolve(x: Sequence[int], y: Sequence[int]) -> list[int]:
+    """The product of two coefficient rows by the direct convolution, in
+    O(4^n) integer steps at most."""
+    return _convolve_terms(_terms(x), _terms(y), len(x))
+
+
+def _row_at(x: MulticomplexNumber, exp: int) -> list[int] | None:
+    """The coefficients of x as integers over 2^exp, or None when exp is
+    below x's exponent: x is in lowest terms, so it is then no such row."""
     shift = exp - x.exp
-    return shift >= 0 and [c << shift for c in x.nums] == row
+    if shift > 0:
+        return [c << shift for c in x.nums]
+    return list(x.nums) if shift == 0 else None
 
 
 def _witness(law: str, inputs: Sequence[MulticomplexNumber],
@@ -289,6 +303,18 @@ def _law_inputs(n: int) -> tuple:
             tuple(tuple(u.scale(lam) for lam in _SCALARS) for u in units))
 
 
+@functools.lru_cache(maxsize=4)
+def _law_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The unordered pairs of units of MC(n) that verify_homomorphism
+    checks, built once per order: row a holds (b, side) for b = a..2^n - 1,
+    where e_a e_b is +e_m for side m and -e_m for side 2^n + m."""
+    width = 1 << n
+    return tuple(
+        tuple((b, (a ^ b) + (width if (a & b).bit_count() & 1 else 0))
+              for b in range(a, width))
+        for a in range(width))
+
+
 def verify_homomorphism(f) -> VerificationReport:
     """Check ring-homomorphism laws for a map on MC(n), exactly.
 
@@ -300,63 +326,63 @@ def verify_homomorphism(f) -> VerificationReport:
 
     f.apply is called once per distinct input, a memo that assumes apply is
     a function of its input: 2^n + (2^n - 1) + 2^(n-1) (2^n + 1) + 2^(n+1)
-    calls per map, 67 at n = 3 and 199 at n = 4.  The inputs themselves,
-    units, negated units, sums of two units and scaled units, depend on n
-    alone and are built once per order (_law_inputs).  A product of units
-    is a signed unit, whose image is a unit image or, for the minus sign,
-    one memoised apply per mask; a sum's image is memoised on the unordered
-    pair.  The right sides are integer rows over one power of two, each
-    product of unit images convolved once per unordered pair, and each
-    scaling one row times the scalar's numerator; an element is built from
-    a row only for a witness.  The checks run in the same (a, b) order as
-    a loop that applies f to every left side, and stop at the same first
-    failure.
+    calls per map, 67 at n = 3 and 199 at n = 4.  The inputs, and the walk
+    over the unordered pairs of units, depend on n alone and are built once
+    per order (_law_inputs, _law_plan).
+
+    Both sides are compared as integer rows; an element is built from a row
+    only for a witness.  Each product of unit images is convolved once per
+    unordered pair, from the images' nonzero terms.  A product of units is
+    a signed unit, so the at most 2^(n+1) - 1 multiplicative left sides (a
+    unit image, or one apply per mask for a minus sign) are each made a
+    row once.  The check of (a, b), a > b, compares the same sides as that
+    of (b, a), which came earlier and passed, so it is counted, not made
+    again.  The counts, the apply calls and the first failure are those of
+    a loop that applies f to every left side in (a, b) order.
     """
     n = f.order_n
     apply = f.apply
     units, negatives, unit_sums, scaled = _law_inputs(n)
+    width = len(units)
     images = [apply(u) for u in units]
     top = max(x.exp for x in images)
-    rows = [[c << (top - x.exp) for c in x.nums] for x in images]
-    negated: dict[int, MulticomplexNumber] = {}
-    sums: dict[tuple[int, int], MulticomplexNumber] = {}
-    products: dict[tuple[int, int], list[int]] = {}
+    rows = [_row_at(x, top) for x in images]
+    terms = [_terms(row) for row in rows]
+    # the multiplicative left sides by side, each with its row over
+    # 2^(2 top): -e_m is applied when a product first needs it
+    sides = images + [None] * width
+    side_rows = [[c << top for c in row] for row in rows] + [None] * width
+    add = operator.add
     checks = 0
 
-    for a, ua in enumerate(units):
-        for b, ub in enumerate(units):
-            pair = (a, b) if a <= b else (b, a)
-            sign, m = unit_product(a, b)
-            if sign > 0:
-                lhs = images[m]
-            elif m in negated:
-                lhs = negated[m]
-            else:
-                lhs = negated[m] = apply(negatives[m])
-            if pair in products:
-                rhs = products[pair]
-            else:
-                rhs = products[pair] = _convolve(rows[a], rows[b])
+    for a, pairs in enumerate(_law_plan(n)):
+        checks += 2 * a  # the pairs (a, b), b < a
+        row_a, terms_a, sums_a = rows[a], terms[a], unit_sums[a]
+        for b, side in pairs:
+            lhs = sides[side]
+            if lhs is None:
+                lhs = sides[side] = apply(negatives[side - width])
+                side_rows[side] = _row_at(lhs, 2 * top)
+            rhs = _convolve_terms(terms_a, terms[b], width)
             checks += 1
-            if not _matches(lhs, rhs, 2 * top):
+            if side_rows[side] != rhs:
                 return VerificationReport(False, checks, _witness(
-                    "multiplicative", [ua, ub], lhs,
+                    "multiplicative", [units[a], units[b]], lhs,
                     MulticomplexNumber(n, rhs, 2 * top)))
-            if pair in sums:
-                lhs = sums[pair]
-            else:
-                lhs = sums[pair] = apply(unit_sums[a][b])
-            rhs = [x + y for x, y in zip(rows[a], rows[b])]
+            lhs = apply(sums_a[b])
+            rhs = list(map(add, row_a, rows[b]))
             checks += 1
-            if not _matches(lhs, rhs, top):
+            if _row_at(lhs, top) != rhs:
                 return VerificationReport(False, checks, _witness(
-                    "additive", [ua, ub], lhs, MulticomplexNumber(n, rhs, top)))
+                    "additive", [units[a], units[b]], lhs,
+                    MulticomplexNumber(n, rhs, top)))
         for lam, scaled_unit in zip(_SCALARS, scaled[a]):
             lhs = apply(scaled_unit)
             checks += 1
-            if not _matches(lhs, [c * lam.num for c in rows[a]], top + lam.exp):
+            if _row_at(lhs, top + lam.exp) != [c * lam.num for c in row_a]:
                 return VerificationReport(False, checks, _witness(
-                    f"real-scaling by {lam}", [ua], lhs, images[a].scale(lam)))
+                    f"real-scaling by {lam}", [units[a]], lhs,
+                    images[a].scale(lam)))
     return VerificationReport(True, checks)
 
 
@@ -379,6 +405,21 @@ def _component_basis_rows(n: int):
     return rows[0], rows[1]
 
 
+@functools.lru_cache(maxsize=4)
+def _square_plan(n: int) -> tuple:
+    """The pairs of units of MC(n) that a square sums over, built once per
+    order, as (cross, diagonal): the pairs a < b and the pairs a = b.  Each
+    is split by the sign of e_a e_b = +-e_m into (plus, minus), two tuples
+    of (a, b, m)."""
+    width = 1 << n
+    cross, diagonal = ([], []), ([], [])
+    for a in range(width):
+        for b in range(a, width):
+            sign, m = unit_product(a, b)
+            (diagonal if a == b else cross)[sign < 0].append((a, b, m))
+    return tuple((tuple(plus), tuple(minus)) for plus, minus in (cross, diagonal))
+
+
 def _vectorized_square(C, n: int, out):
     """Row-wise square of scaled coefficient vectors, by the direct
     convolution e_a e_b = (-1)^popcount(a & b) e_(a xor b).
@@ -390,25 +431,19 @@ def _vectorized_square(C, n: int, out):
     """
     import numpy as np
 
-    width = 1 << n
-    cols = np.ascontiguousarray(C.T)
+    cols = list(np.ascontiguousarray(C.T))
+    acc = list(out)
     out.fill(0)
     term = np.empty_like(cols[0])
-
-    def accumulate(sign: int, m: int) -> None:
-        if sign > 0:
-            np.add(out[m], term, out=out[m])
-        else:
-            np.subtract(out[m], term, out=out[m])
-
-    for a in range(width):
-        for b in range(a + 1, width):
-            np.multiply(cols[a], cols[b], out=term)
-            accumulate(*unit_product(a, b))
-    out *= 2  # each cross pair a < b stands for ab and ba
-    for a in range(width):
-        np.multiply(cols[a], cols[a], out=term)
-        accumulate(*unit_product(a, a))
+    multiply = np.multiply
+    cross, diagonal = _square_plan(n)
+    for plan in (cross, diagonal):
+        for pairs, accumulate in zip(plan, (np.add, np.subtract)):
+            for a, b, m in pairs:
+                multiply(cols[a], cols[b], out=term)
+                accumulate(acc[m], term, out=acc[m])
+        if plan is cross:
+            out *= 2  # each cross pair a < b stands for ab and ba
     return out.T
 
 

@@ -70,6 +70,16 @@ class TestSignedPermutation:
             assert c(j) == a(b(j))
             assert c(-j) == -c(j)
 
+    @given(st.integers(1, 64).flatmap(lambda n: st.tuples(
+        fixed_size_permutation(n), fixed_size_permutation(n))))
+    def test_compose_equals_the_checked_construction(self, pair):
+        # compose skips the public constructor's checks
+        a, b = pair
+        c = a.compose(b)
+        checked = SignedPermutation([a(v) for v in b.images])
+        assert type(c.images) is tuple and c.images == checked.images
+        assert c == checked and hash(c) == hash(checked)
+
     @given(signed_permutations())
     def test_inverse(self, pi):
         ident = SignedPermutation.identity(pi.n_symbols)

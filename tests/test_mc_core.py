@@ -463,6 +463,27 @@ class TestTransformKernels:
             assert sorted(i for g in tail for i in g) == list(range(width))
             assert all(g == tuple(range(g[0], g[0] + 4)) for g in tail)
 
+    def test_the_last_four_orders_are_kept(self):
+        _butterflies.cache_clear()
+        for n in (3, 6, 7, 8, 3, 6, 7, 8, 2, 3, 4, 5, 2, 3, 4, 5):
+            _butterflies(n)
+        assert _butterflies.cache_info().misses == 8
+
+    def test_evicted_table_is_released(self):
+        _butterflies.cache_clear()
+        tracemalloc.start()
+        try:
+            _butterflies(14)
+            built, _ = tracemalloc.get_traced_memory()
+            for n in range(1, 5):
+                _butterflies(n)
+            left, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # freed tuples stay on the interpreter's free lists, up to 2,000
+        # of each length: 0.35 MB here
+        assert built > 1_500_000 and left < built // 4
+
     def test_table_memory(self):
         # the tuples share one range's ints: a 4-tuple per butterfly, each
         # with its own ints, would hold 10.8 MB at this order

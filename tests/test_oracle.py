@@ -341,6 +341,27 @@ def left_side_inputs(draw, n):
     ]))
 
 
+@st.composite
+def larger_exponent_cases(draw):
+    """(map, law): a map whose image of one input of the law has an
+    exponent above the right side's, which is at most 2n - 2 for a product
+    of unit images, n - 1 for a sum and n for a scaling."""
+    n = draw(st.integers(1, 4))
+    width = 1 << n
+    a, b = draw(st.integers(0, width - 1)), draw(st.integers(0, width - 1))
+    ua, ub = MulticomplexNumber.unit(a, n), MulticomplexNumber.unit(b, n)
+    # the loop applies every negated unit but the all-ones one
+    negated = -MulticomplexNumber.unit(a % (width - 1), n)
+    law, target, exp = draw(st.sampled_from([
+        ("multiplicative", negated, 2 * n - 2),
+        ("additive", ua + ub, n - 1),
+        ("real-scaling by 3/2", ua.scale(DyadicRational(3, 1)), n),
+        ("real-scaling by -2", ua.scale(-2), n - 1),
+    ]))
+    return Perturbed(draw(automorphisms(n)), target,
+                     exp + draw(st.integers(1, 3))), law
+
+
 class CorruptedAction:
     """Negative control for verify_homomorphism: a linear map agreeing with
     a base automorphism except that the image of one elementary idempotent
@@ -421,6 +442,13 @@ class TestVerifyHomomorphism:
         report, inputs = self.assert_matches_the_loop(Perturbed(*case))
         assert report.ok is (case[1] not in inputs)
 
+    @settings(deadline=None, max_examples=40)
+    @given(larger_exponent_cases())
+    def test_matches_the_loop_on_left_sides_over_larger_powers(self, case):
+        f, law = case
+        report, _ = self.assert_matches_the_loop(f)
+        assert not report.ok and report.failure["law"] == law
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_matches_the_loop_on_every_corrupted_map(self, n):
         for base in enumerate_automorphisms(n):
@@ -442,6 +470,21 @@ class TestVerifyHomomorphism:
         expected = width + (width - 1) + width * (width + 1) // 2 + 2 * width
         assert len(f.inputs) == len(set(f.inputs)) == expected
         assert expected == {1: 10, 2: 25, 3: 67, 4: 199}[n]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_one_convolution_per_unordered_pair(self, n, monkeypatch):
+        convolve, calls = oracle._convolve_terms, []
+
+        def counted(x, y, width):
+            calls.append((x, y))
+            return convolve(x, y, width)
+
+        monkeypatch.setattr(oracle, "_convolve_terms", counted)
+        for f in (Automorphism.identity(n), Automorphism.from_text(
+                n, ",".join(str(-j) for j in range(1 << (n - 1), 0, -1)))):
+            calls.clear()
+            assert verify_homomorphism(f).ok
+            assert len(calls) == (1 << (n - 1)) * ((1 << n) + 1)
 
     def test_report_json(self):
         good = VerificationReport(True, 5)
