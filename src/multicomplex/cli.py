@@ -25,8 +25,8 @@ from .automorphism import (
     enumerate_automorphisms,
     enumerate_r_involutions,
 )
-from .gf2_preserving import enumerate_preserving_involutions, matrix_unit_data
-from .mc_core import MulticomplexNumber, unit_name
+from .gf2_preserving import _transpose, enumerate_preserving_involutions
+from .mc_core import MulticomplexNumber, _unit_names, unit_name
 from .oracle import (
     brute_count_preserving,
     brute_count_r_involutions,
@@ -239,24 +239,24 @@ def _work(args) -> int:
     r-involutions 5 to 10 us per composition and 16 to 30 ns per
     permutation and symbol (r = 10^5 took 0.50 s at N = 1, r = 60 took
     0.31 s at N = 8; past N = 8 the walk scores above 10^16).  The
-    preserving generator with its involution checks takes 8 to 15 us per
-    map at n = 5 and 6 (N = 16 and 32), 1.0 to 3.0 ns per operation, and
-    enumerate preserving at n = 5 about 1 us per JSON value; it prints each
+    preserving generator with its involution checks takes 5 to 6 us per
+    map at n = 5 and 6 (N = 16 and 32), 0.5 to 1.1 ns per operation, and
+    enumerate preserving about 0.3 us per JSON value at n = 5; it prints each
     row as it is made, at the 17 MB peak RSS of verify --suite preserving.
     The default budget, 10^10, admits calls of up to 19 s: count
     involutions --n 18 (9.7e9) and count preserving --n 520 (9.3e9) took
-    19 s; verify --suite preserving --n 6 (7.3e9) 7.5 to 10.3 s, verify
+    19 s; verify --suite preserving --n 6 (7.3e9) 4.1 to 4.2 s, verify
     --suite r-involutions --n 4 --r 840 (8.1e9) 5 to 7 s, verify --suite
     automorphisms --n 3 (5.8e9) 0.2 to 0.3 s, apply --n 16 (8.4e9) 0.9 to
     1.0 s at a peak RSS of 66 MB, 9.5 MB of it the transform's index table,
-    enumerate preserving --n 5 (9.5e8) 0.9 to 1.2 s, verify --suite special --n 5
+    enumerate preserving --n 5 (9.5e8) 0.28 to 0.29 s, verify --suite special --n 5
     (4.0e8) 0.24 to 0.35 s at a peak RSS of 39 MB, since it streams the
     special families in blocks, and verify --suite preserving --n 4
     (2.6e8) 0.1 s, each run in-process through run().  It refuses count
     r-involutions --n 13 --r 720720 (4.8e10, 80 s), verify --suite
     r-involutions --n 3 --r 1000000 (1.3e10), enumerate automorphisms
     --n 4 (8.3e10) and enumerate preserving --n 6 (7.3e10: 759,936 rows
-    of 87 values, by the n = 5 figures about 60 s).
+    of 87 values, 16 to 20 s as a process writing 331 MB).
     """
     if args.command == "table":
         if args.max_n < 1:
@@ -353,12 +353,15 @@ def _print_special_csv(n: int, kind: SpecialSetKind) -> None:
 
 
 def _preserving_rows(n: int) -> Iterator[dict]:
+    # per order: each matrix row value as its 0/1 list, and each unit's name
+    bits = [[(v >> j) & 1 for j in range(n + 1)] for v in range(1 << (n + 1))]
+    names = _unit_names(n)
     for matrix, auto in enumerate_preserving_involutions(n):
-        masks, sign_bits = matrix_unit_data(matrix)
+        rows = matrix.rows
         yield {
-            "matrix": matrix.to_lists(),
-            "unit_images": [("-" if s else "") + unit_name(m)
-                            for m, s in zip(masks, sign_bits)],
+            "matrix": [bits[row] for row in rows],
+            "unit_images": [("-" if s else "") + names[m] for m, s
+                            in zip(_transpose(rows[:n], n), bits[rows[n]])],
             "permutation": auto.perm.to_json_dict(),
         }
 

@@ -47,7 +47,6 @@ __all__ = [
     "enumerate_subspaces_containing_e",
     "enumerate_preserving_involutions",
     "unit_images_to_automorphism",
-    "matrix_unit_data",
 ]
 
 _MAX_WIDTH = 64
@@ -107,11 +106,6 @@ class GF2Matrix:
     @classmethod
     def from_columns(cls, columns: Sequence[int], n_rows: int) -> "GF2Matrix":
         return cls(n_rows, len(columns), _transpose(columns, n_rows))
-
-    def to_lists(self) -> list[list[int]]:
-        return [
-            [(row >> j) & 1 for j in range(self.n_cols)] for row in self.rows
-        ]
 
     def __repr__(self) -> str:
         body = "; ".join(f"{row:0{max(self.n_cols, 1)}b}"[::-1] for row in self.rows)
@@ -365,16 +359,6 @@ def unit_images_to_automorphism(images: Sequence[tuple[int, int]],
     return _from_images(n, tuple([row[t ^ x] for t in range(len(row))]))
 
 
-def matrix_unit_data(matrix: GF2Matrix) -> tuple[list[int], list[int]]:
-    """Read (masks, sign_bits) back from an emitted (n+1) x (n+1) matrix:
-    column j < n holds masks[j] above sign bit j, and the last column is
-    zero above the affine corner 1."""
-    n = matrix.n_cols - 1
-    masks = _transpose(matrix.rows[:n], n)
-    sign_bits = [(matrix.rows[n] >> j) & 1 for j in range(n)]
-    return masks, sign_bits
-
-
 def _carry_vector(masks: Sequence[int]) -> int:
     """Bit j = carry parity of the product of image units over the bits of
     column j of the unit block."""
@@ -399,7 +383,8 @@ def _carry_vector(masks: Sequence[int]) -> int:
 def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automorphism]]:
     """All involutions of MC(n) sending each generator to a signed canonical
     unit, as (matrix, automorphism) pairs, lazily: count_preserving(n) of
-    them.
+    them.  Column j < n of the (n+1) x (n+1) matrix is the image mask of
+    i_(j+1) above its sign bit; column n is zero above the corner 1.
 
     Emission order is canonical: kernel dimension k ascending, kernels by
     canonical basis, image tuples lexicographically, then admissible sign

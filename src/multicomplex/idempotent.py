@@ -17,7 +17,6 @@ operation: the ring arithmetic happens on the vectors.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 from .mc_core import (
@@ -27,6 +26,7 @@ from .mc_core import (
     _from_kernel,
     _integer_vector,
     _merge,
+    _order,
     _split,
     _times,
 )
@@ -81,9 +81,7 @@ class IdempotentVector:
     exp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "order", operator.index(self.order))
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
+        object.__setattr__(self, "order", _order(self.order))
         nums, exp = _integer_vector(self.nums, self.exp)
         if len(nums) != 1 << self.order:
             raise ValueError(

@@ -383,6 +383,14 @@ def parse_unit_name(name: str) -> int:
     return mask
 
 
+def _order(order) -> int:
+    """A ring order as an int, checked before any 2^order is made."""
+    order = operator.index(order)
+    if order < 1:
+        raise ValueError("order must be at least 1")
+    return order
+
+
 @dataclass(frozen=True, slots=True)
 class MulticomplexNumber:
     """An element of MC(n): coefficient m is nums[m] / 2^exp.
@@ -397,9 +405,7 @@ class MulticomplexNumber:
     exp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "order", operator.index(self.order))
-        if self.order < 1:
-            raise ValueError("order must be at least 1")
+        object.__setattr__(self, "order", _order(self.order))
         nums, exp = _integer_vector(self.nums, self.exp)
         if len(nums) != 1 << self.order:
             raise ValueError(
@@ -413,7 +419,7 @@ class MulticomplexNumber:
 
     @classmethod
     def zero(cls, order: int) -> "MulticomplexNumber":
-        return cls(order, (0,) * (1 << order))
+        return cls(order, (0,) * (1 << _order(order)))
 
     @classmethod
     def one(cls, order: int) -> "MulticomplexNumber":
@@ -422,6 +428,7 @@ class MulticomplexNumber:
     @classmethod
     def unit(cls, mask: int, order: int) -> "MulticomplexNumber":
         """The canonical basis element for the given mask."""
+        order = _order(order)
         if not 0 <= mask < (1 << order):
             raise ValueError(f"mask {mask} out of range for order {order}")
         nums = [0] * (1 << order)
@@ -437,6 +444,7 @@ class MulticomplexNumber:
 
     @classmethod
     def from_coeff_map(cls, order: int, coeffs: Mapping[int, object]) -> "MulticomplexNumber":
+        order = _order(order)
         values = [0] * (1 << order)
         for mask, c in coeffs.items():
             if not 0 <= mask < (1 << order):
@@ -546,10 +554,13 @@ class MulticomplexNumber:
         raw = data.get("coeffs", {})
         if not isinstance(raw, Mapping):
             raise ValueError("field 'coeffs' must be an object")
-        coeffs = {
-            parse_unit_name(name): DyadicRational.parse(text)
-            for name, text in raw.items()
-        }
+        coeffs, names = {}, {}
+        for name, text in raw.items():
+            mask = parse_unit_name(name)
+            if names.setdefault(mask, name) != name:
+                raise ValueError(f"unit names {names[mask]!r} and {name!r} "
+                                 "are the same unit")
+            coeffs[mask] = DyadicRational.parse(text)
         return cls.from_coeff_map(order, coeffs)
 
     def dumps(self) -> str:

@@ -40,7 +40,7 @@ from multicomplex import (
     verify_homomorphism,
     verify_special_sets,
 )
-from multicomplex.gf2_preserving import matrix_unit_data
+from preserving_matrix import matrix_unit_data
 
 D = DyadicRational
 

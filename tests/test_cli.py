@@ -308,6 +308,15 @@ class TestApply:
         for spelling in (("--perm", f"@{perm}"), (f"--perm=@{perm}",)):
             assert invoke(capsys, "apply", "--n", "3", *spelling, "--input", path) == by_text
 
+    def test_two_spellings_of_one_unit(self, capsys, tmp_path):
+        path = self.write_element(tmp_path, {"n": 2, "coeffs": {"i1*i2": "1",
+                                                                 "i2*i1": "5"}})
+        code, out, err = invoke(capsys, "apply", "--n", "2", "--perm", "1,2",
+                                "--input", path)
+        assert (code, out) == (1, "")
+        assert err == ("error: unit names 'i1*i2' and 'i2*i1' are the same "
+                       "unit\n")
+
     def test_missing_permutation_file(self, capsys, tmp_path):
         path = self.write_element(tmp_path, {"n": 3, "coeffs": {}})
         code, out, err = invoke(capsys, "apply", "--n", "3",

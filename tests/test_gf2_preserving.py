@@ -25,9 +25,9 @@ from multicomplex.gf2_preserving import (
     _linear_value_form,
     _parity,
     _transpose,
-    matrix_unit_data,
     solve,
 )
+from preserving_matrix import matrix_unit_data
 
 
 def pivots(space):
@@ -115,10 +115,6 @@ class TestGF2Matrix:
         assert m.rows == (0b11, 0b01)
         assert column(m, 0) == 0b11
         assert column(m, 1) == 0b01
-
-    def test_to_lists(self):
-        m = GF2Matrix(2, 2, [0b01, 0b10])
-        assert m.to_lists() == [[1, 0], [0, 1]]
 
     @given(small_matrices(3, 3), st.integers(0, 7))
     def test_mat_vec_matches_column_combination(self, m, vec):
@@ -420,9 +416,8 @@ class TestPreservingEnumeration:
 
     def test_order_one_maps(self):
         items = preserving(1)
-        assert [m.to_lists() for m, _ in items] == [
-            [[1, 0], [0, 1]], [[1, 0], [1, 1]]
-        ]
+        assert [matrix_unit_data(m) for m, _ in items] == [([1], [0]), ([1], [1])]
+        assert [m.rows for m, _ in items] == [(0b01, 0b10), (0b01, 0b11)]
         i1 = MulticomplexNumber.generator(1, 1)
         images = [auto.apply(i1) for _, auto in items]
         assert images == [i1, -i1]

@@ -226,6 +226,21 @@ class TestMulticomplexNumber:
         assert type(x.order) is int and x.to_json_dict()["n"] == 1
         with pytest.raises(TypeError):
             MulticomplexNumber(1.0, [1, 2])
+        for y in (MulticomplexNumber.unit(0, True), MulticomplexNumber.one(True),
+                  MulticomplexNumber.zero(True),
+                  MulticomplexNumber.from_coeff_map(True, {1: 2})):
+            assert type(y.order) is int and y.order == 1
+        with pytest.raises(TypeError):
+            MulticomplexNumber.unit(0, 1.0)
+
+    @pytest.mark.parametrize("name,args", [
+        ("one", (0,)), ("unit", (0, 0)), ("unit", (0, -1)), ("zero", (0,)),
+        ("zero", (-1,)), ("from_coeff_map", (-1, {})), ("from_coeff_map", (0, {})),
+    ])
+    def test_constructors_check_the_order(self, name, args):
+        # the same refusal as the public constructor, before any 2^order
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
+            getattr(MulticomplexNumber, name)(*args)
 
     def test_unit_mask_range(self):
         with pytest.raises(ValueError):
@@ -302,6 +317,16 @@ class TestMulticomplexNumber:
             MulticomplexNumber.from_json_dict({"n": "3", "coeffs": {}})
         with pytest.raises(ValueError, match="must be an integer"):
             MulticomplexNumber.from_json_dict({"n": True, "coeffs": {}})
+
+    @pytest.mark.parametrize("first,second", [
+        ("i1*i2", "i2*i1"), ("i1", " i1"), ("", " "), ("i2 * i1", "i1*i2"),
+    ])
+    def test_json_refuses_two_spellings_of_one_unit(self, first, second):
+        # the second coefficient would otherwise replace the first
+        data = {"n": 2, "coeffs": {first: "1", second: "5"}}
+        with pytest.raises(ValueError) as info:
+            MulticomplexNumber.from_json_dict(data)
+        assert repr(first) in str(info.value) and repr(second) in str(info.value)
 
     def test_str_rendering(self):
         x = MulticomplexNumber.from_coeff_map(

@@ -40,7 +40,6 @@ PUBLIC = {
     # gf2_preserving
     "GF2Matrix", "GF2Subspace", "solve", "enumerate_subspaces_containing_e",
     "enumerate_preserving_involutions", "unit_images_to_automorphism",
-    "matrix_unit_data",
     # oracle
     "VerificationReport", "brute_count_preserving",
     "brute_count_r_involutions", "brute_count_signed_involutions",
