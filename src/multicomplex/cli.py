@@ -28,6 +28,7 @@ from .automorphism import (
 from .gf2_preserving import _transpose, enumerate_preserving_involutions
 from .mc_core import MulticomplexNumber, _unit_names, unit_name
 from .oracle import (
+    _BRUTE_PRESERVING_MAX_N,
     brute_count_preserving,
     brute_count_r_involutions,
     verify_homomorphism,
@@ -52,8 +53,6 @@ _COMPOSE_SYMBOL = 30
 # the preserving generator with the involution check of each map:
 # operations per map and component
 _PRESERVING_SYMBOL = 300
-# verify --suite preserving adds brute_count_preserving up to this n
-_BRUTE_PRESERVING_MAX_N = 4
 # n and N count as at most this in the exponentials 2^n, N = 2^(n-1), 2^N, N!
 _CEILING = 64
 # divisors of r are looked for up to here
@@ -64,11 +63,20 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    """argparse ended early, as after --help, with exit code args[0]."""
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems without owning the exit code."""
+    """argparse that leaves every exit code to run()."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _Exit(status)
 
 
 def _build_parser() -> _Parser:
@@ -239,8 +247,8 @@ def _work(args) -> int:
     r-involutions 5 to 10 us per composition and 16 to 30 ns per
     permutation and symbol (r = 10^5 took 0.50 s at N = 1, r = 60 took
     0.31 s at N = 8; past N = 8 the walk scores above 10^16).  The
-    preserving generator with its involution checks takes 5 to 6 us per
-    map at n = 5 and 6 (N = 16 and 32), 0.5 to 1.1 ns per operation, and
+    preserving generator with its involution checks takes 5.5 to 7 us per
+    map at n = 5 and 6 (N = 16 and 32), 0.7 to 1.3 ns per operation, and
     enumerate preserving about 0.3 us per JSON value at n = 5; it prints each
     row as it is made, at the 17 MB peak RSS of verify --suite preserving.
     The default budget, 10^10, admits calls of up to 19 s: count
@@ -468,7 +476,7 @@ def _verify_one(suite: str, n: int, r: int | None) -> dict:
             "expected": expected,
             "all_involutions": all_involutions,
         }
-        # the walk over every tuple of generator images stops at n = 4
+        # the walk over every tuple of generator images has the oracle's bound
         if n <= _BRUTE_PRESERVING_MAX_N:
             result["brute"] = brute_count_preserving(n)
             result["ok"] = result["ok"] and result["brute"] == expected
@@ -540,10 +548,12 @@ def run(argv: Sequence[str]) -> int:
         if args.command == "table":
             return _cmd_table(args)
         raise _UsageError(f"unknown command {args.command}")
+    except _Exit as exc:
+        return exc.args[0]
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, BudgetExceeded, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

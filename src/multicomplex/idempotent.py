@@ -10,7 +10,8 @@ For n = 1 the basis is {1} and a vector has a single component equal to the
 number itself.
 
 An IdempotentVector holds the 2^(n-1) components as one integer vector over
-a power of two, like MulticomplexNumber, and the change of basis and the
+a power of two: it shares mc_core's vector type, and its one checked
+constructor, with MulticomplexNumber.  The change of basis and the
 componentwise product are the integer kernels of mc_core.  ComplexComponent
 is the read-only view of one component, with conjugation as the only
 operation: the ring arithmetic happens on the vectors.
@@ -22,11 +23,10 @@ from dataclasses import dataclass
 from .mc_core import (
     DyadicRational,
     MulticomplexNumber,
+    _IntVector,
     _dyadic,
     _from_kernel,
-    _integer_vector,
     _merge,
-    _order,
     _split,
     _times,
 )
@@ -67,29 +67,11 @@ class ComplexComponent:
         return f"ComplexComponent({self.re}, {self.im})"
 
 
-@dataclass(frozen=True, slots=True)
-class IdempotentVector:
+class IdempotentVector(_IntVector):
     """An element of MC(n) in idempotent coordinates: 2^(n-1) components,
-    component j being (nums[2j] + nums[2j+1] i1) / 2^exp.
+    component j being (nums[2j] + nums[2j+1] i1) / 2^exp."""
 
-    nums is given as 2^n numbers the way MulticomplexNumber takes them, and
-    stored as ints in lowest terms.
-    """
-
-    order: int
-    nums: tuple[int, ...]
-    exp: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "order", _order(self.order))
-        nums, exp = _integer_vector(self.nums, self.exp)
-        if len(nums) != 1 << self.order:
-            raise ValueError(
-                f"expected {1 << (self.order - 1)} components ({1 << self.order} "
-                f"numbers) for order {self.order}, got {len(nums)} numbers"
-            )
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "exp", exp)
+    __slots__ = ()
 
     @property
     def components(self) -> tuple[ComplexComponent, ...]:
@@ -144,7 +126,6 @@ def from_idempotent(vec: IdempotentVector) -> MulticomplexNumber:
 
 def componentwise_mul(u: IdempotentVector, v: IdempotentVector) -> IdempotentVector:
     """The ring product transported to idempotent coordinates."""
-    if u.order != v.order:
-        raise ValueError(f"order mismatch: {u.order} vs {v.order}")
+    u._check_order(v)
     return _from_kernel(IdempotentVector, u.order, _times(u.nums, v.nums),
                         u.exp + v.exp)

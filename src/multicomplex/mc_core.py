@@ -7,14 +7,15 @@ records whether i_k appears.  Mask 0 is the real unit 1.
 
 Coefficients are dyadic rationals (denominator a power of two), which is
 exactly the coefficient domain needed by every constant arising from the
-idempotent decomposition.  An element is stored as one vector of 2^n
-integers over a shared power of two, kept in lowest terms, so equality is
-a comparison of fields.  The product goes through the idempotent transform:
-the integer kernels _split and _merge below take a vector to its 2^(n-1)
-complex components and back in O(n 2^n) steps, two levels per pass over
-a table of index groups that is built once per order and kept for the
-last four orders used (9.5 MB at n = 16, under 20 KB at n <= 8), and
-components multiply one by one.
+idempotent decomposition.  An element and its idempotent coordinates
+(idempotent.IdempotentVector) share one vector type, _IntVector, with one
+checked constructor: 2^n integers over a shared power of two, kept in
+lowest terms, so equality is a comparison of fields.  The product goes
+through the idempotent transform: the integer kernels _split and _merge
+below take a vector to its 2^(n-1) complex components and back in
+O(n 2^n) steps, two levels per pass over a table of index groups that is
+built once per order and kept for the last four orders used (9.5 MB at
+n = 16, under 20 KB at n <= 8), and components multiply one by one.
 DyadicRational is the scalar view used for parsing, printing and reading
 single coefficients.  All values here are immutable.
 """
@@ -25,7 +26,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
     "DyadicRational",
@@ -142,20 +143,6 @@ def _dyadic(value) -> DyadicRational:
     raise TypeError(f"cannot use {type(value).__name__} as a coefficient")
 
 
-def _integer_vector(values: Iterable, exp: int) -> tuple[tuple[int, ...], int]:
-    """The vector values / 2^exp as integers over one power of two, in
-    lowest terms.  The values may be ints or DyadicRationals."""
-    if exp < 0:
-        raise ValueError("exponent must be non-negative")
-    nums = tuple(values)
-    if set(map(type, nums)) != {int}:
-        parts = [_dyadic(v) for v in nums]
-        top = max([d.exp for d in parts], default=0)
-        nums = tuple([d.num << (top - d.exp) for d in parts])
-        exp += top
-    return _lowest_terms(nums, exp)
-
-
 def _lowest_terms(nums, exp: int) -> tuple[tuple[int, ...], int]:
     """The int vector nums / 2^exp, exp >= 0, with the factors of two that
     all of nums share stripped."""
@@ -165,34 +152,6 @@ def _lowest_terms(nums, exp: int) -> tuple[tuple[int, ...], int]:
             shift = _twos(bits, exp)
             return tuple([v >> shift for v in nums]), exp - shift
     return tuple(nums), exp
-
-
-def _from_kernel(cls, order: int, nums: list[int], exp: int):
-    """A MulticomplexNumber or IdempotentVector (cls) from 2^order ints
-    over 2^exp, exp >= 0, that an integer kernel computed.  Only the common
-    factors of two are stripped: the coercion and checks of the public
-    constructor are for outside input."""
-    nums, exp = _lowest_terms(nums, exp)
-    return _from_fields(cls, order, nums, exp)
-
-
-@lru_cache(maxsize=None)
-def _field_setters(cls):
-    """The slot setters of order, nums and exp on cls: they write past the
-    frozen dataclass's __setattr__, and cost less than object.__setattr__,
-    which looks each name up first."""
-    return cls.order.__set__, cls.nums.__set__, cls.exp.__set__
-
-
-def _from_fields(cls, order: int, nums: tuple[int, ...], exp: int):
-    """A MulticomplexNumber or IdempotentVector (cls) with these fields,
-    which the caller has proved valid and in lowest terms."""
-    obj = object.__new__(cls)
-    set_order, set_nums, set_exp = _field_setters(cls)
-    set_order(obj, order)
-    set_nums(obj, nums)
-    set_exp(obj, exp)
-    return obj
 
 
 # ---------------------------------------------------------------------------
@@ -392,28 +351,70 @@ def _order(order) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class MulticomplexNumber:
-    """An element of MC(n): coefficient m is nums[m] / 2^exp.
-
-    nums may be given as ints or DyadicRationals; it is stored as 2^n ints
-    in lowest terms (exp is zero or some entry is odd, and zero has exp 0),
-    so equality is coefficient-wise.  Instances are immutable and hashable.
-    """
+class _IntVector:
+    """2^order numbers nums[m] / 2^exp, given as ints or DyadicRationals:
+    the storage of MulticomplexNumber and IdempotentVector.  They are kept
+    as ints in lowest terms (exp is zero or some entry is odd, and zero has
+    exp 0), so equality compares the fields and the class.  This is the one
+    check of outside input; kernel results skip it (_from_kernel)."""
 
     order: int
     nums: tuple[int, ...]
     exp: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "order", _order(self.order))
-        nums, exp = _integer_vector(self.nums, self.exp)
-        if len(nums) != 1 << self.order:
-            raise ValueError(
-                f"expected {1 << self.order} coefficients for order "
-                f"{self.order}, got {len(nums)}"
-            )
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "exp", exp)
+        order = _order(self.order)
+        exp = operator.index(self.exp)
+        if exp < 0:
+            raise ValueError("exponent must be non-negative")
+        nums = tuple(self.nums)
+        if set(map(type, nums)) != {int}:
+            parts = [_dyadic(v) for v in nums]
+            top = max([d.exp for d in parts], default=0)
+            nums = [d.num << (top - d.exp) for d in parts]
+            exp += top
+        if len(nums) != 1 << order:
+            raise ValueError(f"expected {1 << order} numbers for order {order}, "
+                             f"got {len(nums)}")
+        nums, exp = _lowest_terms(nums, exp)
+        _set_order(self, order)
+        _set_nums(self, nums)
+        _set_exp(self, exp)
+
+    def _check_order(self, other: "_IntVector") -> None:
+        if self.order != other.order:
+            raise ValueError(f"order mismatch: {self.order} vs {other.order}")
+
+
+# the slot setters write past the frozen dataclass's __setattr__, and cost
+# less than object.__setattr__, which looks each name up first
+_set_order = _IntVector.order.__set__
+_set_nums = _IntVector.nums.__set__
+_set_exp = _IntVector.exp.__set__
+
+
+def _from_kernel(cls, order: int, nums: list[int], exp: int):
+    """A MulticomplexNumber or IdempotentVector (cls) from 2^order ints
+    over 2^exp, exp >= 0, that an integer kernel computed: only the common
+    factors of two are stripped."""
+    nums, exp = _lowest_terms(nums, exp)
+    return _from_fields(cls, order, nums, exp)
+
+
+def _from_fields(cls, order: int, nums: tuple[int, ...], exp: int):
+    """A MulticomplexNumber or IdempotentVector (cls) with these fields,
+    which the caller has proved valid and in lowest terms."""
+    obj = object.__new__(cls)
+    _set_order(obj, order)
+    _set_nums(obj, nums)
+    _set_exp(obj, exp)
+    return obj
+
+
+class MulticomplexNumber(_IntVector):
+    """An element of MC(n): coefficient m is nums[m] / 2^exp."""
+
+    __slots__ = ()
 
     # ---- constructors ----
 
@@ -453,12 +454,6 @@ class MulticomplexNumber:
         return cls(order, values)
 
     # ---- ring structure ----
-
-    def _check_order(self, other: "MulticomplexNumber") -> None:
-        if self.order != other.order:
-            raise ValueError(
-                f"order mismatch: {self.order} vs {other.order}"
-            )
 
     def _aligned(self, other: "MulticomplexNumber"):
         """Both vectors over the larger power of two, and its exponent."""

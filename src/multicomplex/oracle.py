@@ -221,13 +221,17 @@ def _brute_preserving(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]
                 yield masks, sign_bits
 
 
+# brute_count_preserving walks (2^n)^n tuples: 65,536 at n = 4
+_BRUTE_PRESERVING_MAX_N = 4
+
+
 def brute_count_preserving(n: int) -> int:
     """Count the involutions of MC(n) that send every generator to a signed
     canonical unit, by walking all (2^n)^n tuples of generator images; no
-    kernels, complements or carry vectors involved.  n is at most 4
-    (65,536 tuples)."""
-    if not 1 <= n <= 4:
-        raise ValueError("n must be between 1 and 4")
+    kernels, complements or carry vectors involved.  n is at most
+    _BRUTE_PRESERVING_MAX_N."""
+    if not 1 <= n <= _BRUTE_PRESERVING_MAX_N:
+        raise ValueError(f"n must be between 1 and {_BRUTE_PRESERVING_MAX_N}")
     return sum(1 for _ in _brute_preserving(n))
 
 
@@ -255,12 +259,6 @@ def _convolve_terms(x: Sequence[tuple[int, int]], y: Sequence[tuple[int, int]],
             else:
                 out[a ^ b] += ca * cb
     return out
-
-
-def _convolve(x: Sequence[int], y: Sequence[int]) -> list[int]:
-    """The product of two coefficient rows by the direct convolution, in
-    O(4^n) integer steps at most."""
-    return _convolve_terms(_terms(x), _terms(y), len(x))
 
 
 def _row_at(x: MulticomplexNumber, exp: int) -> list[int] | None:

@@ -3,13 +3,13 @@
 Every argv ends in exit 0, 1 or 2 and no exception escapes run().  Exit 1
 prints nothing to stdout and one `error:` or `usage error:` line to stderr.
 Exit 0 prints JSON, CSV or markdown, and every count in it equals its
-closed form.
+closed form, or, when -h or --help is parsed, the help text of the top
+level or of the subcommand.
 
 The grammar is read from the parser itself, so each subcommand, choice and
-flag is drawn, and so are values the parser refuses.  --help is left out:
-argparse prints it and ends the interpreter.  --budget is always given, as
-10^7 operations or as a value that admits nothing, so that every admitted
-command is quick.
+flag is drawn, -h and --help too, and so are values the parser refuses.
+--budget is always given to a subcommand, as 10^7 operations or as a value
+that admits nothing, so that every admitted command is quick.
 """
 import argparse
 import contextlib
@@ -55,6 +55,7 @@ RUNS = [
     "verify --suite all --n 2 --r 3", "table --max-n 4",
     "table --format csv", "table --format markdown",
 ]
+HELP = ["-h", "--help"]
 GOOD_PERMS = ["4,1,-3,2", "-3,1,2,4", "2,1", "-1,2", "1", "-1"]
 BAD_PERMS = ["", "x", "1,,2", "0", "1,1"]
 
@@ -81,7 +82,7 @@ def subcommands():
 
 @st.composite
 def argvs(draw, grammar, paths):
-    name = draw(st.sampled_from([*grammar, "frobnicate"]))
+    name = draw(st.sampled_from([*grammar, "frobnicate", *HELP]))
     if name not in grammar:
         return [name]
     what, flags = grammar[name]
@@ -115,6 +116,8 @@ def argvs(draw, grammar, paths):
         parts.append([flag, draw(value)])
     budget = draw(st.sampled_from([BUDGET] * 8 + ["0", "-1", "ten"]))
     parts.append(["--budget", budget])
+    if not draw(st.integers(0, 9)):
+        parts.append([draw(st.sampled_from(HELP))])
     order = draw(st.permutations(range(len(parts))))
     return [name] + [word for i in order for word in parts[i]]
 
@@ -174,6 +177,7 @@ def check_output(args, out):
 
 
 def test_every_argv_keeps_the_contract(tmp_path):
+    grammar = subcommands()
     paths = {name: str(tmp_path / name)
              for name in [*FILES, "latin-1.json", "missing.json"]}
     for name, text in FILES.items():
@@ -181,7 +185,7 @@ def test_every_argv_keeps_the_contract(tmp_path):
     (tmp_path / "latin-1.json").write_bytes(b'{"n": 1, "coeffs": {"\xff": "1"}}')
 
     @settings(max_examples=200, deadline=None, database=None)
-    @given(argvs(subcommands(), paths),
+    @given(argvs(grammar, paths),
            st.sampled_from([None, "json", "csv", "markdown", "yaml"]))
     def keeps_the_contract(argv, env_format):
         env = {} if env_format is None else {cli.FORMAT_ENV: env_format}
@@ -199,6 +203,10 @@ def test_every_argv_keeps_the_contract(tmp_path):
             assert err.startswith(("error: ", "usage error: ")), (argv, err)
         if code == 0:
             assert err == "", (argv, err)
+            if set(HELP) & set(argv):
+                command = argv[0] if argv[0] in grammar else "[-h] {"
+                assert out.startswith(f"usage: multicomplex {command}"), (argv, out)
+                return
             args = cli._build_parser().parse_args(cli._join_perm(argv))
             with cli._any_size_ints():
                 check_output(args, out)
@@ -208,4 +216,6 @@ def test_every_argv_keeps_the_contract(tmp_path):
     for argv in [run.split() for run in RUNS] + [element]:
         keeps_the_contract = example(argv + ["--budget", BUDGET], None)(
             keeps_the_contract)
+    for argv in [[flag] for flag in HELP] + [[name, "--help"] for name in grammar]:
+        keeps_the_contract = example(argv, None)(keeps_the_contract)
     keeps_the_contract()

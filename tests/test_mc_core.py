@@ -20,7 +20,7 @@ from multicomplex import (
     unit_product,
 )
 from multicomplex.mc_core import _butterflies, _merge, _split
-from multicomplex.oracle import _convolve
+from test_oracle import convolve
 
 
 def dyadics(max_num=64, max_exp=4):
@@ -341,6 +341,45 @@ class TestMulticomplexNumber:
         assert x == y and hash(x) == hash(y)
 
 
+VECTORS = pytest.mark.parametrize("cls", [MulticomplexNumber, IdempotentVector])
+
+
+class TestVectorConstructor:
+    """The one checked constructor that both coordinate vectors share."""
+
+    @VECTORS
+    @pytest.mark.parametrize("exp", [1.0, 0.5])
+    def test_exponent_must_be_an_integer(self, cls, exp):
+        with pytest.raises(TypeError):
+            cls(1, [1, 1], exp)
+
+    @VECTORS
+    def test_bool_exponent_becomes_an_int(self, cls):
+        v = cls(1, [1, 2], True)
+        assert type(v.exp) is int and v.exp == 1 and v.nums == (1, 2)
+
+    @VECTORS
+    def test_negative_exponent_rejected(self, cls):
+        with pytest.raises(ValueError, match="^exponent must be non-negative$"):
+            cls(1, [1, 1], -1)
+
+    def test_an_element_never_equals_its_coordinates(self):
+        x = MulticomplexNumber(2, [1, 0, 0, 3], 1)
+        v = IdempotentVector(2, [1, 0, 0, 3], 1)
+        assert (x.order, x.nums, x.exp) == (v.order, v.nums, v.exp)
+        assert x != v and v != x
+        assert len({x, v}) == 2
+
+    @VECTORS
+    def test_slots_and_frozen(self, cls):
+        v = cls(1, [1, 2])
+        assert not hasattr(v, "__dict__")
+        for field, value in (("order", 2), ("nums", (0, 0)), ("exp", 1)):
+            with pytest.raises(AttributeError):
+                setattr(v, field, value)
+        assert (v.order, v.nums, v.exp) == (1, (1, 2), 0)
+
+
 def operands(n):
     """Dense elements with mixed exponents, zero, and canonical units."""
     return st.one_of(
@@ -354,8 +393,7 @@ class TestTransformProduct:
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(operands(n), operands(n))))
     def test_matches_reference_convolution(self, pair):
         x, y = pair
-        assert x * y == MulticomplexNumber(x.order, _convolve(x.nums, y.nums),
-                                           x.exp + y.exp)
+        assert x * y == convolve(x, y)
 
     def test_builds_no_dyadic_scalars(self, monkeypatch):
         n = 6
