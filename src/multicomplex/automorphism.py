@@ -17,13 +17,8 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator
 
-from .idempotent import (
-    IdempotentVector,
-    _n_components,
-    from_idempotent,
-    to_idempotent,
-)
-from .mc_core import MulticomplexNumber, _from_fields
+from .idempotent import IdempotentVector, from_idempotent, to_idempotent
+from .mc_core import MulticomplexNumber, _at_least, _from_fields, _n_components
 
 __all__ = [
     "SignedPermutation",
@@ -56,7 +51,7 @@ class SignedPermutation:
 
     @classmethod
     def identity(cls, n: int) -> "SignedPermutation":
-        return cls(range(1, n + 1))
+        return cls(range(1, _at_least(n, 0, "n") + 1))
 
     def __call__(self, j: int) -> int:
         """Image of a signed symbol j with |j| in 1..N."""
@@ -250,8 +245,7 @@ def enumerate_r_involutions(n: int, r: int) -> Iterator[Automorphism]:
     Filters the full enumeration by element order dividing r, which agrees
     with literal r-fold composition.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
+    r = _at_least(r, 1, "r")
     for f in enumerate_automorphisms(n):
         if r % f.element_order() == 0:
             yield f

@@ -26,7 +26,7 @@ from .automorphism import (
     enumerate_r_involutions,
 )
 from .gf2_preserving import _transpose, enumerate_preserving_involutions
-from .mc_core import MulticomplexNumber, _unit_names, unit_name
+from .mc_core import MulticomplexNumber, _at_least, _unit_names, unit_name
 from .oracle import (
     _BRUTE_PRESERVING_MAX_N,
     brute_count_preserving,
@@ -90,6 +90,7 @@ def _build_parser() -> _Parser:
     )
 
     c = sub.add_parser("count", help="closed-form counts", parents=[common])
+    c.set_defaults(handler=_cmd_count)
     c.add_argument(
         "what",
         choices=[
@@ -106,6 +107,7 @@ def _build_parser() -> _Parser:
                    help="symbol count for signed-r-involutions")
 
     e = sub.add_parser("enumerate", help="explicit element listings", parents=[common])
+    e.set_defaults(handler=_cmd_enumerate)
     e.add_argument(
         "what",
         choices=["automorphisms", "involutions", "r-involutions",
@@ -120,6 +122,7 @@ def _build_parser() -> _Parser:
 
     a = sub.add_parser("apply", help="apply an automorphism to an element",
                        parents=[common])
+    a.set_defaults(handler=_cmd_apply)
     a.add_argument("--n", type=int, required=True)
     a.add_argument("--perm", required=True,
                    help='signed permutation text, e.g. "4,1,-3,2", or @path '
@@ -128,6 +131,7 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="brute-force verification suites",
                        parents=[common])
+    v.set_defaults(handler=_cmd_verify)
     v.add_argument(
         "--suite",
         required=True,
@@ -139,6 +143,7 @@ def _build_parser() -> _Parser:
 
     t = sub.add_parser("table", help="involution counts by ring order",
                        parents=[common])
+    t.set_defaults(handler=_cmd_table)
     t.add_argument("--max-n", dest="max_n", type=int, default=5)
     t.add_argument("--format", choices=FORMATS)
     return ap
@@ -267,17 +272,13 @@ def _work(args) -> int:
     of 87 values, 16 to 20 s as a process writing 331 MB).
     """
     if args.command == "table":
-        if args.max_n < 1:
-            raise ValueError("--max-n must be at least 1")
-        top = min(args.max_n, _CEILING)
+        top = min(_at_least(args.max_n, 1, "--max-n"), _CEILING)
         rows = [_recurrence_ops(1 << (k - 1), 2) for k in range(1, top + 1)]
         return sum(rows) + (args.max_n - top) * rows[-1]
     if args.command == "count" and args.what == "signed-r-involutions":
         return _recurrence_ops(_need(args.n_symbols, "--N-symbols"),
                                _need(args.r, "--r"))
-    n = _need(args.n, "--n")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _at_least(_need(args.n, "--n"), 1, "n")
     if args.command == "count" and args.what == "preserving":
         return n * _limbs(n * n) ** 2
     e = min(n, _CEILING)
@@ -463,25 +464,24 @@ def _verify_one(suite: str, n: int, r: int | None) -> dict:
         brute = brute_count_r_involutions(n, r)
         formula = counting.count_r_involutions(n, r)
         return {"ok": brute == formula, "brute": brute, "formula": formula}
-    if suite == "preserving":
-        expected = counting.count_preserving(n)
-        seen = 0
-        all_involutions = True
-        for _, auto in enumerate_preserving_involutions(n):
-            seen += 1
-            all_involutions = all_involutions and auto.is_involution()
-        result = {
-            "ok": seen == expected and all_involutions,
-            "count": seen,
-            "expected": expected,
-            "all_involutions": all_involutions,
-        }
-        # the walk over every tuple of generator images has the oracle's bound
-        if n <= _BRUTE_PRESERVING_MAX_N:
-            result["brute"] = brute_count_preserving(n)
-            result["ok"] = result["ok"] and result["brute"] == expected
-        return result
-    raise _UsageError(f"unknown suite {suite}")
+    # the one suite left: argparse admits no other
+    expected = counting.count_preserving(n)
+    seen = 0
+    all_involutions = True
+    for _, auto in enumerate_preserving_involutions(n):
+        seen += 1
+        all_involutions = all_involutions and auto.is_involution()
+    result = {
+        "ok": seen == expected and all_involutions,
+        "count": seen,
+        "expected": expected,
+        "all_involutions": all_involutions,
+    }
+    # the walk over every tuple of generator images has the oracle's bound
+    if n <= _BRUTE_PRESERVING_MAX_N:
+        result["brute"] = brute_count_preserving(n)
+        result["ok"] = result["ok"] and result["brute"] == expected
+    return result
 
 
 def _cmd_verify(args) -> int:
@@ -537,17 +537,7 @@ def run(argv: Sequence[str]) -> int:
                 f"estimated work {Decimal(work):.3g} operations exceeds the "
                 f"budget {Decimal(args.budget):.3g}; raise --budget to run it"
             )
-        if args.command == "count":
-            return _cmd_count(args)
-        if args.command == "enumerate":
-            return _cmd_enumerate(args)
-        if args.command == "apply":
-            return _cmd_apply(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "table":
-            return _cmd_table(args)
-        raise _UsageError(f"unknown command {args.command}")
+        return args.handler(args)
     except _Exit as exc:
         return exc.args[0]
     except _UsageError as exc:

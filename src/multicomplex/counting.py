@@ -8,9 +8,10 @@ counts are counts of signed permutations on N symbols.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterator
 
-from .idempotent import _n_components
+from .mc_core import _at_least, _n_components
 
 __all__ = [
     "count_automorphisms",
@@ -42,8 +43,7 @@ def count_signed_involutions(N: int) -> int:
     before by t_(k+1) = t_k * (N-2k)(N-2k-1) / (4(k+1)), starting from
     t_0 = 2^N, so the sum costs O(N) big-integer steps.
     """
-    if N < 0:
-        raise ValueError("N must be non-negative")
+    N = _at_least(N, 0, "N")
     term = 1 << N
     total = term
     for k in range(N // 2):
@@ -64,8 +64,7 @@ def g_sequence(m: int) -> int:
     g(m) counts signed involutions on m symbols; computed by the recursion
     (deliberately a separate route from count_signed_involutions).
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = _at_least(m, 1, "m")
     a, b = 2, 6  # g(1), g(2)
     if m == 1:
         return a
@@ -94,6 +93,7 @@ def count_p_involutions(n: int, p: int) -> int:
     t_0 = 1: a separate route from the divisor recurrence of
     count_signed_r_involutions.
     """
+    p = operator.index(p)
     if not _is_odd_prime(p):
         raise ValueError(f"p must be an odd prime, got {p}")
     N = _n_components(n)
@@ -112,7 +112,7 @@ def _divisors_up_to(r: int, cap: int) -> list[int]:
 def cycle_types_with_parts_dividing(N: int, r: int) -> Iterator[dict[int, int]]:
     """All cycle types of S_N whose cycle lengths each divide r, each as a
     dict from cycle length to its multiplicity, with no zero entries."""
-    parts = _divisors_up_to(r, N)
+    parts = _divisors_up_to(_at_least(r, 1, "r"), _at_least(N, 0, "N"))
 
     def rec(remaining: int, idx: int,
             current: dict[int, int]) -> Iterator[dict[int, int]]:
@@ -146,10 +146,7 @@ def count_signed_r_involutions(N: int, r: int) -> int:
     tau(r) being the number of divisors of r.  Only the last max(d) values
     of a are kept.
     """
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if r < 1:
-        raise ValueError("r must be at least 1")
+    N, r = _at_least(N, 1, "N"), _at_least(r, 1, "r")
     parts = [(d, d - ((r // d) % 2)) for d in _divisors_up_to(r, N)]
     window = parts[-1][0]
     recent = [0] * window  # recent[m % window] holds a(m)
@@ -175,7 +172,7 @@ def count_subspaces_containing_all_ones(k: int, n: int) -> int:
     Product form: prod over j=1..k-1 of (2^n - 2^j)/(2^k - 2^j); equals 1
     for k = 0 or 1 by convention (the empty product).
     """
-    if not 0 <= k <= n:
+    if not 0 <= operator.index(k) <= operator.index(n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     num = 1
     den = 1
@@ -191,7 +188,7 @@ def count_independent_image_tuples(k: int, n: int) -> int:
 
     Product form: prod over j=0..n-k-1 of (2^k - 2^j); empty product = 1.
     """
-    if not 0 <= k <= n:
+    if not 0 <= operator.index(k) <= operator.index(n):
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     out = 1
     for j in range(n - k):
@@ -206,7 +203,7 @@ def count_preserving(n: int) -> int:
     Sum over kernel dimensions k from ceil(n/2) to n of
     subspace_count * image_tuple_count * 2^k.
     """
-    _n_components(n)
+    n = _at_least(n, 1, "n")
     total = 0
     for k in range((n + 1) // 2, n + 1):
         total += (
@@ -226,7 +223,7 @@ def asymptotic_estimate(n: int) -> mpmath.mpf:
     """
     import mpmath
 
-    _n_components(n)
+    n = _at_least(n, 1, "n")
     with mpmath.workdps(60):
         ln2 = mpmath.ln(2)
         lead = mpmath.mpf(2) ** (n - 2) * (n * ln2 - 1)

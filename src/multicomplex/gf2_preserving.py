@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .automorphism import Automorphism, _from_images
+from .mc_core import _at_least
 
 __all__ = [
     "GF2Matrix",
@@ -88,9 +89,9 @@ class GF2Matrix:
     rows: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "n_rows", operator.index(self.n_rows))
+        object.__setattr__(self, "n_rows", _at_least(self.n_rows, 0, "n_rows"))
         object.__setattr__(self, "n_cols", operator.index(self.n_cols))
-        if not 0 <= self.n_cols <= _MAX_WIDTH or self.n_rows < 0:
+        if not 0 <= self.n_cols <= _MAX_WIDTH:
             raise ValueError("bad dimensions")
         rows = tuple(self.rows)
         if len(rows) != self.n_rows:
@@ -157,9 +158,7 @@ class GF2Subspace:
     basis: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "width", operator.index(self.width))
-        if self.width < 0:
-            raise ValueError("width must be non-negative")
+        object.__setattr__(self, "width", _at_least(self.width, 0, "width"))
         vectors = list(self.basis)
         if any(v >> self.width for v in vectors):
             raise ValueError("vector bits beyond width")
@@ -204,7 +203,7 @@ def enumerate_subspaces_containing_e(n: int, k: int) -> Iterator[GF2Subspace]:
     Deterministic order: pivot-column sets lexicographically, then free
     entries in increasing binary order.
     """
-    if not 1 <= k <= n:
+    if not 1 <= operator.index(k) <= operator.index(n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     e_all = (1 << n) - 1
     for pivcols in itertools.combinations(range(n), k):
@@ -325,8 +324,7 @@ def unit_images_to_automorphism(images: Sequence[tuple[int, int]],
     sends some elementary idempotent outside the elementary set and is no
     ring automorphism.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _at_least(n, 1, "n")
     if len(images) != n:
         raise ValueError(f"expected {n} images, got {len(images)}")
     masks = []
@@ -391,8 +389,7 @@ def enumerate_preserving_involutions(n: int) -> Iterator[tuple[GF2Matrix, Automo
     vectors in increasing binary order.  Every emitted map composes with
     itself to the identity exactly, signs included.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    n = _at_least(n, 1, "n")
     gathers = _xor_gathers(n - 1)
     low = (1 << (n - 1)) - 1
     for k in range((n + 1) // 2, n + 1):

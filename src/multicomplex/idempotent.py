@@ -24,6 +24,7 @@ from .mc_core import (
     DyadicRational,
     MulticomplexNumber,
     _IntVector,
+    _at_least,
     _dyadic,
     _from_kernel,
     _merge,
@@ -87,21 +88,14 @@ class IdempotentVector(_IntVector):
         return f"IdempotentVector({self.order}: [{inner}])"
 
 
-def _n_components(n: int) -> int:
-    """N = 2^(n-1), the number of idempotent components of MC(n), for
-    n >= 1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return 1 << (n - 1)
-
-
 def basis_element(index: int, order: int) -> MulticomplexNumber:
     """The basis idempotent for an (order-1)-bit index, as an explicit product.
 
     Bit t of the index picks the factor at level t + 2: a clear bit gives
     (1 + i_{t+1} i_{t+2})/2, a set bit gives (1 - i_{t+1} i_{t+2})/2.
     """
-    if not 0 <= index < _n_components(order):
+    order = _at_least(order, 1, "order")
+    if not 0 <= index < 1 << (order - 1):
         raise ValueError(f"index {index} out of range for order {order}")
     result = MulticomplexNumber.one(order)
     for t in range(order - 1):
@@ -114,18 +108,25 @@ def basis_element(index: int, order: int) -> MulticomplexNumber:
 
 def to_idempotent(eta: MulticomplexNumber) -> IdempotentVector:
     """Exact change of basis into idempotent coordinates."""
+    if type(eta) is not MulticomplexNumber:
+        raise TypeError(f"expected a MulticomplexNumber, got {type(eta).__name__}")
     return _from_kernel(IdempotentVector, eta.order, _split(eta.nums, eta.order),
                         eta.exp)
 
 
 def from_idempotent(vec: IdempotentVector) -> MulticomplexNumber:
     """Exact inverse of to_idempotent."""
+    if type(vec) is not IdempotentVector:
+        raise TypeError(f"expected an IdempotentVector, got {type(vec).__name__}")
     n = vec.order
     return _from_kernel(MulticomplexNumber, n, _merge(vec.nums, n), vec.exp + n - 1)
 
 
 def componentwise_mul(u: IdempotentVector, v: IdempotentVector) -> IdempotentVector:
     """The ring product transported to idempotent coordinates."""
+    if type(u) is not IdempotentVector or type(v) is not IdempotentVector:
+        raise TypeError(f"expected two IdempotentVectors, got {type(u).__name__} "
+                        f"and {type(v).__name__}")
     u._check_order(v)
     return _from_kernel(IdempotentVector, u.order, _times(u.nums, v.nums),
                         u.exp + v.exp)

@@ -37,6 +37,21 @@ __all__ = [
 ]
 
 
+def _at_least(value, low: int, name: str) -> int:
+    """value as an int (a bool reads as 0 or 1, a float is a TypeError),
+    checked to be at least low: the one check of every order, symbol
+    count, power and exponent the package takes."""
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be at least {low}")
+    return value
+
+
+def _n_components(n) -> int:
+    """N = 2^(n-1), the number of idempotent components of MC(n)."""
+    return 1 << (_at_least(n, 1, "n") - 1)
+
+
 def _twos(bits: int, exp: int) -> int:
     """How many factors of two p / 2^exp can drop, for every p whose
     bitwise OR is bits: all of exp when every p is zero."""
@@ -77,8 +92,7 @@ class DyadicRational:
                 except TypeError:
                     raise TypeError(f"DyadicRational {name} must be an integer, "
                                     f"got {type(value).__name__}") from None
-        if self.exp < 0:
-            raise ValueError("exponent must be non-negative")
+        _at_least(self.exp, 0, "exp")
         if self.exp and not self.num & 1:
             shift = _twos(self.num, self.exp)
             object.__setattr__(self, "num", self.num >> shift)
@@ -342,14 +356,6 @@ def parse_unit_name(name: str) -> int:
     return mask
 
 
-def _order(order) -> int:
-    """A ring order as an int, checked before any 2^order is made."""
-    order = operator.index(order)
-    if order < 1:
-        raise ValueError("order must be at least 1")
-    return order
-
-
 @dataclass(frozen=True, slots=True)
 class _IntVector:
     """2^order numbers nums[m] / 2^exp, given as ints or DyadicRationals:
@@ -363,10 +369,8 @@ class _IntVector:
     exp: int = 0
 
     def __post_init__(self):
-        order = _order(self.order)
-        exp = operator.index(self.exp)
-        if exp < 0:
-            raise ValueError("exponent must be non-negative")
+        order = _at_least(self.order, 1, "order")
+        exp = _at_least(self.exp, 0, "exp")
         nums = tuple(self.nums)
         if set(map(type, nums)) != {int}:
             parts = [_dyadic(v) for v in nums]
@@ -420,7 +424,7 @@ class MulticomplexNumber(_IntVector):
 
     @classmethod
     def zero(cls, order: int) -> "MulticomplexNumber":
-        return cls(order, (0,) * (1 << _order(order)))
+        return cls(order, (0,) * (1 << _at_least(order, 1, "order")))
 
     @classmethod
     def one(cls, order: int) -> "MulticomplexNumber":
@@ -429,7 +433,7 @@ class MulticomplexNumber(_IntVector):
     @classmethod
     def unit(cls, mask: int, order: int) -> "MulticomplexNumber":
         """The canonical basis element for the given mask."""
-        order = _order(order)
+        order = _at_least(order, 1, "order")
         if not 0 <= mask < (1 << order):
             raise ValueError(f"mask {mask} out of range for order {order}")
         nums = [0] * (1 << order)
@@ -439,13 +443,14 @@ class MulticomplexNumber(_IntVector):
     @classmethod
     def generator(cls, k: int, order: int) -> "MulticomplexNumber":
         """The generating unit i_k, 1-based."""
+        order = _at_least(order, 1, "order")
         if not 1 <= k <= order:
             raise ValueError(f"generator index {k} out of range for order {order}")
         return cls.unit(1 << (k - 1), order)
 
     @classmethod
     def from_coeff_map(cls, order: int, coeffs: Mapping[int, object]) -> "MulticomplexNumber":
-        order = _order(order)
+        order = _at_least(order, 1, "order")
         values = [0] * (1 << order)
         for mask, c in coeffs.items():
             if not 0 <= mask < (1 << order):

@@ -22,7 +22,8 @@ from typing import Iterable, Iterator, Sequence
 # to_idempotent is unused here: perfbench's tests check that the tracer
 # patches this module's binding of it
 from .idempotent import IdempotentVector, from_idempotent, to_idempotent  # noqa: F401
-from .mc_core import DyadicRational, MulticomplexNumber, unit_product
+from .mc_core import (DyadicRational, MulticomplexNumber, _at_least,
+                      _n_components, unit_product)
 from .special_elements import SpecialSetKind, special_element_for_pattern
 
 __all__ = [
@@ -156,17 +157,13 @@ def _signed_power_count(N: int, r: int) -> int:
 def brute_count_r_involutions(n: int, r: int) -> int:
     """Count automorphisms f of MC(n) with f^r = identity by exhausting the
     signed-permutation group, no formulas involved."""
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
-    return _signed_power_count(1 << (n - 1), r)
+    return _signed_power_count(_n_components(n), _at_least(r, 1, "r"))
 
 
 def brute_count_signed_involutions(N: int) -> int:
     """Count signed permutations on N symbols squaring to the identity by
     exhaustive composition."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    return _signed_power_count(N, 2)
+    return _signed_power_count(_at_least(N, 1, "N"), 2)
 
 
 def _independent(masks: Iterable[int]) -> bool:
@@ -230,7 +227,7 @@ def brute_count_preserving(n: int) -> int:
     canonical unit, by walking all (2^n)^n tuples of generator images; no
     kernels, complements or carry vectors involved.  n is at most
     _BRUTE_PRESERVING_MAX_N."""
-    if not 1 <= n <= _BRUTE_PRESERVING_MAX_N:
+    if not 1 <= operator.index(n) <= _BRUTE_PRESERVING_MAX_N:
         raise ValueError(f"n must be between 1 and {_BRUTE_PRESERVING_MAX_N}")
     return sum(1 for _ in _brute_preserving(n))
 
@@ -286,31 +283,21 @@ _SCALARS = (DyadicRational(3, 1), DyadicRational(-2, 0))
 
 @functools.lru_cache(maxsize=4)
 def _law_inputs(n: int) -> tuple:
-    """The inputs verify_homomorphism applies a map on MC(n) to, built once
-    per order, as (units, negatives, sums, scaled): the canonical units by
-    mask, their negatives, sums[a][b] = units[a] + units[b] (one object for
-    both orders of a pair) and scaled[a][i] = units[a] scaled by
-    _SCALARS[i].  They are frozen values, so every map shares them."""
+    """The inputs verify_homomorphism applies a map on MC(n) to, and its
+    walk over the unordered pairs of units, built once per order, as
+    (units, negatives, pairs, scaled): the canonical units by mask, their
+    negatives, pairs[a] holding (b, side, units[a] + units[b]) for
+    b = a..2^n - 1, where e_a e_b is +e_m for side m and -e_m for side
+    2^n + m, and scaled[a][i] = units[a] scaled by _SCALARS[i].  They are
+    frozen values, so every map shares them."""
     width = 1 << n
     units = tuple(MulticomplexNumber.unit(m, n) for m in range(width))
-    sums = [[None] * width for _ in range(width)]
-    for a in range(width):
-        for b in range(a, width):
-            sums[a][b] = sums[b][a] = units[a] + units[b]
-    return (units, tuple(-u for u in units), tuple(map(tuple, sums)),
-            tuple(tuple(u.scale(lam) for lam in _SCALARS) for u in units))
-
-
-@functools.lru_cache(maxsize=4)
-def _law_plan(n: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The unordered pairs of units of MC(n) that verify_homomorphism
-    checks, built once per order: row a holds (b, side) for b = a..2^n - 1,
-    where e_a e_b is +e_m for side m and -e_m for side 2^n + m."""
-    width = 1 << n
-    return tuple(
-        tuple((b, (a ^ b) + (width if (a & b).bit_count() & 1 else 0))
-              for b in range(a, width))
+    pairs = tuple(
+        tuple((b, (a ^ b) + (width if (a & b).bit_count() & 1 else 0),
+               units[a] + units[b]) for b in range(a, width))
         for a in range(width))
+    return (units, tuple(-u for u in units), pairs,
+            tuple(tuple(u.scale(lam) for lam in _SCALARS) for u in units))
 
 
 def verify_homomorphism(f) -> VerificationReport:
@@ -326,7 +313,7 @@ def verify_homomorphism(f) -> VerificationReport:
     a function of its input: 2^n + (2^n - 1) + 2^(n-1) (2^n + 1) + 2^(n+1)
     calls per map, 67 at n = 3 and 199 at n = 4.  The inputs, and the walk
     over the unordered pairs of units, depend on n alone and are built once
-    per order (_law_inputs, _law_plan).
+    per order (_law_inputs).
 
     Both sides are compared as integer rows; an element is built from a row
     only for a witness.  Each product of unit images is convolved once per
@@ -340,7 +327,7 @@ def verify_homomorphism(f) -> VerificationReport:
     """
     n = f.order_n
     apply = f.apply
-    units, negatives, unit_sums, scaled = _law_inputs(n)
+    units, negatives, unit_pairs, scaled = _law_inputs(n)
     width = len(units)
     images = [apply(u) for u in units]
     top = max(x.exp for x in images)
@@ -353,10 +340,10 @@ def verify_homomorphism(f) -> VerificationReport:
     add = operator.add
     checks = 0
 
-    for a, pairs in enumerate(_law_plan(n)):
+    for a, pairs in enumerate(unit_pairs):
         checks += 2 * a  # the pairs (a, b), b < a
-        row_a, terms_a, sums_a = rows[a], terms[a], unit_sums[a]
-        for b, side in pairs:
+        row_a, terms_a = rows[a], terms[a]
+        for b, side, unit_sum in pairs:
             lhs = sides[side]
             if lhs is None:
                 lhs = sides[side] = apply(negatives[side - width])
@@ -367,7 +354,7 @@ def verify_homomorphism(f) -> VerificationReport:
                 return VerificationReport(False, checks, _witness(
                     "multiplicative", [units[a], units[b]], lhs,
                     MulticomplexNumber(n, rhs, 2 * top)))
-            lhs = apply(sums_a[b])
+            lhs = apply(unit_sum)
             rhs = list(map(add, row_a, rows[b]))
             checks += 1
             if _row_at(lhs, top) != rhs:
@@ -551,7 +538,7 @@ def verify_special_sets(n: int) -> VerificationReport:
     """
     import numpy as np
 
-    if not 1 <= n <= 5:
+    if not 1 <= operator.index(n) <= 5:
         raise ValueError("n must be between 1 and 5")
     width = 1 << n
     scale = 1 << (n - 1)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import enum
 from typing import Iterator, Sequence
 
-from .idempotent import IdempotentVector, _n_components, from_idempotent
-from .mc_core import DyadicRational, MulticomplexNumber
+from .idempotent import IdempotentVector, from_idempotent
+from .mc_core import DyadicRational, MulticomplexNumber, _n_components
 
 __all__ = [
     "SpecialSetKind",

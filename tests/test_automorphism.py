@@ -238,6 +238,11 @@ class TestAutomorphism:
         with pytest.raises(ValueError):
             f.apply(MulticomplexNumber.one(3))
 
+    def test_apply_refuses_idempotent_coordinates(self):
+        vec = to_idempotent(MulticomplexNumber(2, [1, 2, 3, 4]))
+        with pytest.raises(TypeError, match="got IdempotentVector"):
+            Automorphism.identity(2).apply(vec)
+
     @given(st.integers(1, 8).flatmap(
         lambda n: st.tuples(automorphisms(n), seeded_elements(n))))
     def test_apply_matches_the_checked_route(self, case):

@@ -105,6 +105,19 @@ class TestTransforms:
         with pytest.raises(ValueError):
             componentwise_mul(u, v)
 
+    def test_the_other_coordinate_class_is_refused(self):
+        # both classes hold the same fields, so only the class tells them
+        # apart: read as the other one, a vector gives wrong numbers
+        x = MulticomplexNumber(2, [1, 2, 3, 4])
+        vec = to_idempotent(x)
+        with pytest.raises(TypeError, match="IdempotentVector, got MulticomplexNumber"):
+            from_idempotent(x)
+        with pytest.raises(TypeError, match="MulticomplexNumber, got IdempotentVector"):
+            to_idempotent(vec)
+        for u, v in ((vec, x), (x, vec), (x, x)):
+            with pytest.raises(TypeError, match="two IdempotentVectors"):
+                componentwise_mul(u, v)
+
 
 class TestBasisElements:
     def test_index_range(self):
@@ -114,7 +127,7 @@ class TestBasisElements:
             basis_element(-1, 3)
 
     def test_order_zero_rejected(self):
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match="^order must be at least 1$"):
             basis_element(0, 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -360,7 +360,7 @@ class TestVectorConstructor:
 
     @VECTORS
     def test_negative_exponent_rejected(self, cls):
-        with pytest.raises(ValueError, match="^exponent must be non-negative$"):
+        with pytest.raises(ValueError, match="^exp must be at least 0$"):
             cls(1, [1, 1], -1)
 
     def test_an_element_never_equals_its_coordinates(self):

@@ -174,12 +174,19 @@ class TestReplacedLoops:
     def test_law_inputs_match_a_fresh_build(self, n):
         cached = oracle._law_inputs(n)
         assert oracle._law_inputs(n) is cached
-        units, negatives, sums, scaled = cached
+        units, negatives, pairs, scaled = cached
         fresh_units, fresh_negatives, fresh_sums, fresh_scaled = fresh_law_inputs(n)
         assert list(units) == fresh_units
         assert list(negatives) == fresh_negatives
-        assert [list(row) for row in sums] == fresh_sums
         assert [list(pair) for pair in scaled] == fresh_scaled
+        # row a walks b = a.. with the side e_a e_b lands on and e_a + e_b
+        width = 1 << n
+        for a, row in enumerate(pairs):
+            assert [b for b, _, _ in row] == list(range(a, width))
+            for b, side, unit_sum in row:
+                sign, m = unit_product(a, b)
+                assert side == (m if sign > 0 else width + m)
+                assert unit_sum == fresh_sums[a][b]
 
     # N <= 5 leaves part of the one word of sign vectors unused
     @pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
