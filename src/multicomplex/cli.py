@@ -166,8 +166,9 @@ def _emit_json(payload) -> None:
 def _any_size_ints():
     """Lift Python's int-to-str digit limit while counts are printed.
 
-    Counts at the default cap run to ~150,000 digits.  The limit guards
-    str-to-int parsing too, so argv is parsed before this is entered.
+    Counts the default budget admits run to 653,298 digits (326,870 for
+    count involutions --n 18).  The limit guards str-to-int parsing too, so
+    argv is parsed before this is entered.
     """
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -246,38 +247,40 @@ def _work(args) -> int:
     the estimate quick and past it above 10^24; polynomial factors use n.
 
     Measured on a 2-core x86-64 host with CPython 3.11: R(N, r) takes 1 to
-    3.5 ns per limb product (N = 256..131072, r = 2..720720), count
-    preserving 2 to 5 ns per operation (n = 100..520), the step formulas
-    0.015 to 6 us per step, and the sign walk of verify involutions and
-    r-involutions 5 to 10 us per composition and 16 to 30 ns per
-    permutation and symbol (r = 10^5 took 0.50 s at N = 1, r = 60 took
-    0.31 s at N = 8; past N = 8 the walk scores above 10^16).  The
-    preserving generator with its involution checks takes 5.5 to 7 us per
-    map at n = 5 and 6 (N = 16 and 32), 0.7 to 1.3 ns per operation, and
-    enumerate preserving about 0.3 us per JSON value at n = 5; it prints each
-    row as it is made, at the 17 MB peak RSS of verify --suite preserving.
-    The default budget, 10^10, admits calls of up to 19 s: count
-    involutions --n 18 (9.7e9) and count preserving --n 520 (9.3e9) took
-    19 s; verify --suite preserving --n 6 (7.3e9) 4.1 to 4.2 s, verify
-    --suite r-involutions --n 4 --r 840 (8.1e9) 5 to 7 s, verify --suite
-    automorphisms --n 3 (5.8e9) 0.2 to 0.3 s, apply --n 16 (8.4e9) 0.9 to
-    1.0 s at a peak RSS of 66 MB, 9.5 MB of it the transform's index table,
-    enumerate preserving --n 5 (9.5e8) 0.28 to 0.29 s, verify --suite special --n 5
-    (4.0e8) 0.24 to 0.35 s at a peak RSS of 39 MB, since it streams the
-    special families in blocks, and verify --suite preserving --n 4
-    (2.6e8) 0.1 s, each run in-process through run().  It refuses count
-    r-involutions --n 13 --r 720720 (4.8e10, 80 s), verify --suite
-    r-involutions --n 3 --r 1000000 (1.3e10), enumerate automorphisms
-    --n 4 (8.3e10) and enumerate preserving --n 6 (7.3e10: 759,936 rows
-    of 87 values, 16 to 20 s as a process writing 331 MB).
+    3.5 ns per limb product of count r-involutions (N = 256..131072,
+    r = 2..720720), the step formulas 0.015 to 6 us per step, and the sign
+    walk of verify involutions and r-involutions 5 to 10 us per composition
+    and 16 to 30 ns per permutation and symbol (r = 10^5 took 0.50 s at
+    N = 1, r = 60 took 0.31 s at N = 8; past N = 8 the walk scores above
+    10^16).  The preserving generator with its involution checks takes 5.5
+    to 7 us per map at n = 5 and 6 (N = 16 and 32), 0.7 to 1.3 ns per
+    operation, and enumerate preserving about 0.3 us per JSON value at
+    n = 5; it prints each row as it is made, at the 17 MB peak RSS of
+    verify --suite preserving.  The default budget, 10^10, admits count
+    r-involutions --n 18 --r 3 (9.7e9, 17 to 23 s), count involutions --n 18
+    (9.7e9) 4.2 to 5.0 s, 2 s of it printing, count preserving --n 520
+    (9.3e9) 0.11 to 0.17 s (both scores overstate the work until the cost
+    model is re-fitted), verify --suite preserving --n 6 (7.3e9) 4.1 to
+    4.2 s, verify --suite r-involutions --n 4 --r 840 (8.1e9) 5 to 7 s,
+    verify --suite automorphisms --n 3 (5.8e9) 0.2 to 0.3 s, apply --n 16
+    (8.4e9) 0.9 to 1.0 s at a peak RSS of 66 MB, 9.5 MB of it the
+    transform's index table, enumerate preserving --n 5 (9.5e8) 0.28 to
+    0.29 s, verify --suite special --n 5 (4.0e8) 0.24 to 0.35 s at a peak
+    RSS of 39 MB, since it streams the special families in blocks, and
+    verify --suite preserving --n 4 (2.6e8) 0.1 s, each run in-process
+    through run().  It refuses count r-involutions --n 13 --r 720720 (4.8e10,
+    80 s), verify --suite r-involutions --n 3 --r 1000000 (1.3e10),
+    enumerate automorphisms --n 4 (8.3e10) and enumerate preserving --n 6
+    (7.3e10: 759,936 rows of 87 values, 16 to 20 s as a process writing
+    331 MB).
     """
     if args.command == "table":
         top = min(_at_least(args.max_n, 1, "--max-n"), _CEILING)
         rows = [_recurrence_ops(1 << (k - 1), 2) for k in range(1, top + 1)]
         return sum(rows) + (args.max_n - top) * rows[-1]
     if args.command == "count" and args.what == "signed-r-involutions":
-        return _recurrence_ops(_need(args.n_symbols, "--N-symbols"),
-                               _need(args.r, "--r"))
+        N, r = _need(args.n_symbols, "--N-symbols"), _need(args.r, "--r")
+        return _recurrence_ops(_at_least(N, 1, "N"), _at_least(r, 1, "r"))
     n = _at_least(_need(args.n, "--n"), 1, "n")
     if args.command == "count" and args.what == "preserving":
         return n * _limbs(n * n) ** 2
@@ -290,7 +293,7 @@ def _work(args) -> int:
         return element
     if args.command == "count":
         r = {"automorphisms": 1, "involutions": 2}.get(args.what)
-        return _recurrence_ops(N, r or _need(args.r, "--r"))
+        return _recurrence_ops(N, r or _at_least(_need(args.r, "--r"), 1, "r"))
     if args.command == "enumerate":
         if args.what == "special":
             return (1 << G) * element
@@ -299,7 +302,7 @@ def _work(args) -> int:
             return counting.count_preserving(e) * (
                 N * _PRESERVING_SYMBOL + values * _STEP)
         if args.what == "r-involutions":
-            _need(args.r, "--r")
+            _at_least(_need(args.r, "--r"), 1, "r")
         return group * N * _STEP
     work = 0
     for suite in _suites(args):
@@ -314,7 +317,7 @@ def _work(args) -> int:
             if n <= _BRUTE_PRESERVING_MAX_N:
                 work += n * (1 << n * n) * _STEP
         else:
-            r = 2 if suite == "involutions" else _need(args.r, "--r")
+            r = 2 if suite == "involutions" else _at_least(_need(args.r, "--r"), 1, "r")
             walk = _COMPOSE + _COMPOSE_SYMBOL * math.factorial(G) * N
             work += r * walk + _recurrence_ops(N, r)
     return work

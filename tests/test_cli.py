@@ -745,6 +745,18 @@ class TestBudget:
                             r"\S+; raise --budget to run it\n", err)
 
     @pytest.mark.parametrize("argv", [
+        ("verify", "--suite", "all", "--n", "3", "--r", "-1"),
+        ("verify", "--suite", "r-involutions", "--n", "3", "--r", "0"),
+        ("count", "r-involutions", "--n", "3", "--r", "0"),
+        ("count", "signed-r-involutions", "--N-symbols", "5", "--r", "-1"),
+        ("enumerate", "r-involutions", "--n", "2", "--r", "0"),
+    ])
+    def test_non_positive_r_refused_before_any_work(self, capsys, monkeypatch, argv):
+        for name in ("_cmd_count", "_cmd_enumerate", "_cmd_apply", "_cmd_verify", "_cmd_table"):
+            monkeypatch.setattr(cli, name, lambda args: pytest.fail("dispatched"))
+        assert invoke(capsys, *argv) == (1, "", "error: r must be at least 1\n")
+
+    @pytest.mark.parametrize("argv", [
         ("count", "involutions", "--n", "6"),
         ("enumerate", "automorphisms", "--n", "2"),
         ("verify", "--suite", "involutions", "--n", "3"),

@@ -11,6 +11,7 @@ import pytest
 
 from multicomplex import (
     asymptotic_estimate,
+    counting,
     count_automorphisms,
     count_independent_image_tuples,
     count_involutions,
@@ -52,19 +53,68 @@ def cycle_type_sum(N: int, r: int) -> int:
     return total
 
 
+# The loops that the product trees and the O(n) recurrence replaced, kept
+# as references: one long division per term, or both factors per kernel
+# dimension.
+
+def involution_term_sum(N: int) -> int:
+    term = total = 1 << N
+    for k in range(N // 2):
+        term, rem = divmod(term * ((N - 2 * k) * (N - 2 * k - 1)), 4 * (k + 1))
+        assert rem == 0
+        total += term
+    return total
+
+
+def p_involution_term_sum(n: int, p: int) -> int:
+    N = 1 << (n - 1)
+    term = total = 1
+    for k in range(N // p):
+        term, rem = divmod(term * math.perm(N - p * k, p) << (p - 1), p * (k + 1))
+        assert rem == 0
+        total += term
+    return total
+
+
+def kernel_dimension_sum(n: int) -> int:
+    return sum(count_subspaces_containing_all_ones(k, n)
+               * count_independent_image_tuples(k, n) << k
+               for k in range((n + 1) // 2, n + 1))
+
+
+class TestTermRatioSum:
+    LEAF = counting._LEAF
+
+    @pytest.mark.parametrize("K", [0, 1, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 1, 5 * LEAF + 3])
+    def test_binomial_sums(self, K):
+        # t_k = C(K, k) by t_(k+1) = t_k (K-k)/(k+1), and C(K, k) 2^(K-k) by
+        # the same ratio halved from t_0 = 2^K
+        nums, dens = range(K, 0, -1), range(1, K + 1)
+        assert counting._term_ratio_sum(0, nums, dens) == 1 << K
+        assert counting._term_ratio_sum(K, nums, dens, halve=1) == 3 ** K
+
+
 class TestInvolutionCounts:
     def test_frozen_table(self):
         for n, expected in INVOLUTION_TABLE.items():
             assert count_involutions(n) == expected
 
     def test_signed_involution_values(self):
-        assert [count_signed_involutions(N) for N in range(7)] == [
-            1, 2, 6, 20, 76, 312, 1384
+        assert [count_signed_involutions(N) for N in range(1, 7)] == [
+            2, 6, 20, 76, 312, 1384
         ]
 
+    def test_matches_term_by_term_sum(self):
+        for N in range(1, 601):
+            assert count_signed_involutions(N) == involution_term_sum(N), N
+
+    def test_large_order_matches_recursion(self):
+        assert count_involutions(14) == g_sequence(8192)
+
     def test_signed_involutions_validate(self):
-        with pytest.raises(ValueError):
-            count_signed_involutions(-1)
+        for N in (-1, 0):
+            with pytest.raises(ValueError, match="N must be at least 1"):
+                count_signed_involutions(N)
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -120,6 +170,11 @@ class TestOddPrimeCounts:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_agrees_with_generic_route(self, n, p):
         assert count_p_involutions(n, p) == count_r_involutions(n, p)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11])
+    def test_matches_term_by_term_sum(self, p):
+        for n in range(1, 11):
+            assert count_p_involutions(n, p) == p_involution_term_sum(n, p), n
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     @pytest.mark.parametrize("n", range(1, 7))
@@ -240,6 +295,10 @@ class TestPreservingCount:
         assert [count_preserving(n) for n in range(1, 7)] == [
             2, 6, 44, 576, 15392, 759936
         ]
+
+    def test_matches_kernel_dimension_sum(self):
+        for n in range(1, 81):
+            assert count_preserving(n) == kernel_dimension_sum(n), n
 
     def test_matches_summation_by_hand_at_order_three(self):
         # k = 2 : 3 subspaces * 3 image tuples * 4 signs = 36
