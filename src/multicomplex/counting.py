@@ -7,6 +7,7 @@ idempotent components of MC(n), whose automorphisms permute N signed symbols.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from typing import Iterator, Sequence
@@ -37,31 +38,36 @@ def count_automorphisms(n: int) -> int:
     return math.factorial(N) << N
 
 
+def _term_ratio_tree(pairs: Iterator, halve: int, K: int, right: bool) -> tuple:
+    """(P, Q, T) of _term_ratio_sum's node over the next K (num, den) pairs
+    of an iterator the nodes share from left to right, so a leaf copies
+    nothing; P is None on the right edge, where no merge reads it."""
+    if K <= _LEAF:
+        P, Q, T = 1, 1, 0
+        for a, b in itertools.islice(pairs, K):
+            P *= a
+            T = (T * b << halve) + P
+            Q *= b
+        return P, Q, T
+    m = K // 2
+    P1, Q1, T1 = _term_ratio_tree(pairs, halve, m, False)
+    P2, Q2, T2 = _term_ratio_tree(pairs, halve, K - m, right)
+    return (None if right else P1 * P2, Q1 * Q2,
+            (T1 * Q2 << halve * (K - m)) + P1 * T2)
+
+
 def _term_ratio_sum(shift: int, nums: Sequence[int], dens: Sequence[int],
                     halve: int = 0) -> int:
     """t_0 + ... + t_K, K = len(nums), for t_0 = 2^shift >= 2^(halve K) and
     t_(k+1) = t_k nums[k] / (dens[k] 2^halve), by binary splitting (Haible &
     Papanikolaou, ANTS 1998): the node over terms (i, j] holds the products
     P of nums[i:j] and Q of dens[i:j] and T = Q 2^(halve (j-i)) sum t_m/t_i,
-    from a plain loop below _LEAF terms.  O(M(L) log K) for L bits, M(L)
-    the Karatsuba product, where K long divisions take O(K L); the one
-    exact division at the end is CPython 3.11's schoolbook O(L^2).
+    from a plain loop up to _LEAF terms (_term_ratio_tree).  O(M(L) log K)
+    for L bits, M(L) the Karatsuba product, where K long divisions take
+    O(K L); the one exact division at the end is CPython 3.11's schoolbook
+    O(L^2).
     """
-    def tree(i: int, j: int, right: bool) -> tuple:
-        if j - i <= _LEAF:
-            P, Q, T = 1, 1, 0
-            for a, b in zip(nums[i:j], dens[i:j]):
-                P *= a
-                T = (T * b << halve) + P
-                Q *= b
-            return P, Q, T
-        m = (i + j) // 2
-        P1, Q1, T1 = tree(i, m, False)
-        P2, Q2, T2 = tree(m, j, right)
-        return (None if right else P1 * P2, Q1 * Q2,  # no merge reads P on the right
-                (T1 * Q2 << halve * (j - m)) + P1 * T2)
-
-    _, Q, T = tree(0, len(nums), True)
+    _, Q, T = _term_ratio_tree(zip(nums, dens), halve, len(nums), True)
     s = halve * len(nums)
     total, rem = divmod(((Q << s) + T) << (shift - s), Q)
     assert rem == 0, "term ratio left a remainder"

@@ -63,30 +63,21 @@ class VerificationReport:
 # 64-bit words of one chunk's sign-bit array: bounds memory for any N
 _CHUNK_ELEMENTS = 1 << 20
 # rows of a special family generated and squared at once, a power of two:
-# 1 MB of int64 at n = 5, so that verify_special_sets holds a few blocks and
-# never a whole family
+# 512 KB of int32 at n = 5, so that verify_special_sets holds a few blocks
+# and never a whole family
 _SQUARE_ROWS = 1 << 12
-# bit m of _LOW_COLUMNS[p] is bit p of m, for the 64 values m of one word
-_LOW_COLUMNS = (0xAAAAAAAAAAAAAAAA, 0xCCCCCCCCCCCCCCCC, 0xF0F0F0F0F0F0F0F0,
-                0xFF00FF00FF00FF00, 0xFFFF0000FFFF0000, 0xFFFFFFFF00000000)
 
 
 def _sign_columns(N: int):
     """The sign bits of all 2^N sign vectors on N symbols, bit-sliced: bit
     m of column p, 64 vectors to a uint64 word, is the sign bit of symbol p
     in sign vector m.  N rows of max(1, 2^N / 64) words; when N < 6 the
-    bits past 2^N repeat the used ones."""
+    bits past 2^N are 0, so they never count as a sign vector."""
     import numpy as np
 
-    words = max(1, (1 << N) >> 6)
-    cols = np.empty((N, words), dtype=np.uint64)
-    cols[:min(N, 6)] = np.array(_LOW_COLUMNS[:N], dtype=np.uint64)[:, None]
-    # past bit 5 a symbol's sign bit is constant across a word: bit p - 6
-    # of the word's index, spread to all 64 bits
-    index = np.arange(words, dtype=np.int64)
-    for p in range(6, N):
-        cols[p] = (-((index >> (p - 6)) & 1)).view(np.uint64)
-    return cols
+    m = np.arange(max(64, 1 << N), dtype=np.intp)
+    bits = (m < 1 << N) & (m >> np.arange(N, dtype=np.intp)[:, None]) & 1
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8")
 
 
 def _permutation_chunks(N: int, rows: int):
@@ -97,7 +88,14 @@ def _permutation_chunks(N: int, rows: int):
     import numpy as np
 
     k = next(k for k in range(N + 1) if math.factorial(N - k) <= rows)
-    tails = np.array(list(itertools.permutations(range(N - k))), dtype=np.intp)
+    # the tails of m symbols from f: f, then those of m - 1 with s >= f moved up
+    tails = np.zeros((1, 0), dtype=np.intp)
+    for m in range(1, N - k + 1):
+        first = np.arange(m, dtype=np.intp)[:, None, None]
+        grown = np.empty((m, len(tails), m), dtype=np.intp)
+        grown[:, :, :1] = first
+        np.add(tails, tails >= first, out=grown[:, :, 1:])
+        tails = grown.reshape(-1, m)
     for prefix in itertools.permutations(range(N), k):
         rest = np.array([s for s in range(N) if s not in prefix], dtype=np.intp)
         chunk = np.empty((len(tails), N), dtype=np.intp)
@@ -123,34 +121,33 @@ def _signed_power_count(N: int, r: int) -> int:
     composite is not the identity, and the zero bits are counted.
 
     Memory, for any r: the columns, N max(1, 2^N / 64) words, and one
-    chunk, whose sign bits take at most _CHUNK_ELEMENTS words (8 MB) and
-    whose index arrays at most as many entries.
+    chunk, whose sign bits and their gather buffer take _CHUNK_ELEMENTS
+    words (8 MB) each at most, and its index arrays as many entries.
     """
     import numpy as np
 
     cols = _sign_columns(N)
     words = cols.shape[1]
-    used = np.uint64((1 << min(64, 1 << N)) - 1)
-    ones_in_byte = np.unpackbits(
-        np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1)
-    identity = np.arange(N)
+    identity = np.arange(N, dtype=np.intp)
     kept = moved = 0
     for base in _permutation_chunks(N, max(1, _CHUNK_ELEMENTS // (N * words))):
-        # row i of base starts at flat index i * N
-        starts = np.arange(0, base.size, N)[:, None]
-        power = np.broadcast_to(identity, base.shape)
+        # base[i, power[i, j]] is at flat index starts[i] + power[i, j]; the
+        # gathers write into reused buffers, unbuffered out of "raise" mode
+        starts = np.arange(0, base.size, N, dtype=np.intp)[:, None]
+        power, index = np.empty((2, *base.shape), dtype=np.intp)
+        power[:] = identity
         for _ in range(r):
-            power = base.take(starts + power)
+            base.take(np.add(starts, power, out=index), out=power, mode="wrap")
         base = base[(power == identity).all(axis=1)]
-        starts = starts[:len(base)]
-        bits = np.zeros((len(base), N, words), dtype=np.uint64)
-        power = np.broadcast_to(identity, base.shape)
+        starts, power, index = starts[:len(base)], power[:len(base)], index[:len(base)]
+        bits, gathered = np.zeros((2, len(base), N, words), dtype=np.uint64)
+        power[:] = identity
         for _ in range(r):
-            bits ^= cols[power]
-            power = base.take(starts + power)
-        off = np.bitwise_or.reduce(bits, axis=1) & used
+            bits ^= np.take(cols, power, axis=0, out=gathered, mode="wrap")
+            base.take(np.add(starts, power, out=index), out=power, mode="wrap")
+        off = np.bitwise_or.reduce(bits, axis=1)
         kept += len(base)
-        moved += int(ones_in_byte[off.view(np.uint8)].sum())
+        moved += int(np.count_nonzero(np.unpackbits(off.view(np.uint8))))
     return (kept << N) - moved
 
 
@@ -411,15 +408,16 @@ def _vectorized_square(C, n: int, out):
 
     Each unit pair costs one product and one accumulation over a whole
     coefficient column, so the work runs on a column-contiguous copy of C
-    into out, a C-ordered int64 array of C's transposed shape that the
-    caller may reuse.  The rows of the result, out.T, are C's rows squared.
+    into out, a C-ordered array of C's transposed shape and of the dtype
+    the squares fit in, that the caller may reuse.  Its rows, out.T, are
+    C's rows squared.
     """
     import numpy as np
 
-    cols = list(np.ascontiguousarray(C.T))
+    cols = list(np.ascontiguousarray(C.T, dtype=out.dtype))
     acc = list(out)
     out.fill(0)
-    term = np.empty_like(cols[0])
+    term = np.empty(len(C), dtype=out.dtype)
     multiply = np.multiply
     cross, diagonal = _square_plan(n)
     for plan in (cross, diagonal):
@@ -438,12 +436,12 @@ _HASH_WEIGHTS = tuple(pow(0x9E3779B97F4A7C15, k + 1, 1 << 64) for k in range(32)
 
 
 def _row_hashes(cols):
-    """One uint64 per row of a column-major int64 block (a column per row):
-    its dot product with _HASH_WEIGHTS, wrapping modulo 2^64."""
+    """One uint64 per row of a column-major integer block (a column per
+    row): its dot product with _HASH_WEIGHTS, all taken modulo 2^64."""
     import numpy as np
 
     weights = np.array(_HASH_WEIGHTS[:cols.shape[0]], dtype=np.uint64)
-    return weights @ cols.view(np.uint64)
+    return np.matmul(weights, cols, dtype=np.uint64, casting="unsafe")
 
 
 def _distinct_rows(hashes, row) -> bool:
@@ -451,8 +449,8 @@ def _distinct_rows(hashes, row) -> bool:
     _row_hashes of all of them and row(p), which rebuilds row p.
 
     The hashes are sorted.  Equal rows have equal hashes, and each group of
-    equal hashes is rebuilt by pattern index and every pair in it compared
-    exactly, so a collision costs time but never the answer.
+    equal hashes is rebuilt by pattern index and its rows compared exactly,
+    so a collision costs time but never the answer.
     """
     import numpy as np
 
@@ -463,9 +461,8 @@ def _distinct_rows(hashes, row) -> bool:
     shared = np.diff(bounds) > 1
     for start, stop in zip(bounds[:-1][shared], bounds[1:][shared]):
         group = np.array([row(int(p)) for p in order[start:stop]])
-        for i in range(len(group) - 1):
-            if (group[i + 1:] == group[i]).all(axis=1).any():
-                return False
+        if len(np.unique(group, axis=0)) < len(group):
+            return False
     return True
 
 
@@ -483,8 +480,8 @@ def _family_sources(n: int) -> dict:
     column-major, and the steps of the pattern bits past the table.
 
     No entry exceeds bound = |row 0| + sum of |steps| in its column, so no
-    partial sum of a square exceeds 2^n bound^2: OverflowError unless that
-    is below 2^63, where int64 would wrap.
+    partial sum of a square exceeds 2^n bound^2 (32 * 48^2 at n = 5):
+    OverflowError unless that is below 2^31, where the int32 tables wrap.
     """
     import numpy as np
 
@@ -498,10 +495,11 @@ def _family_sources(n: int) -> dict:
         (SpecialSetKind.IDEMPOTENT, 0 * re_rows[0], re_rows),
     ):
         bound = int((np.abs(base) + np.abs(steps).sum(axis=0)).max())
-        if width * bound * bound >= 1 << 63:
+        if width * bound * bound >= 1 << 31:
             raise OverflowError(
-                f"int64 squares of the {kind.value} family could wrap")
-        low = np.empty((width, 1 << low_bits), dtype=np.int64)
+                f"int32 squares of the {kind.value} family could wrap")
+        steps = steps.astype(np.int32)
+        low = np.empty((width, 1 << low_bits), dtype=np.int32)
         low[:, 0] = base
         for j in range(low_bits):
             np.add(low[:, :1 << j], steps[j][:, None], out=low[:, 1 << j:2 << j])
@@ -518,7 +516,7 @@ def _family_block(source, start: int, size: int, out=None):
 
     low, high = source
     bits = (start // low.shape[1]) >> np.arange(len(high)) & 1
-    offset = high[bits == 1].sum(axis=0)
+    offset = high[bits == 1].sum(axis=0, dtype=high.dtype)
     first = start % low.shape[1]
     return np.add(low[:, first:first + size], offset[:, None], out=out)
 
@@ -543,8 +541,8 @@ def verify_special_sets(n: int) -> VerificationReport:
     width = 1 << n
     scale = 1 << (n - 1)
     count = 1 << (1 << (n - 1))
-    # at n = 5 a whole family would be 16 MB; a block is 1 MB, a source's
-    # table 1 MB and the hashes of one family 0.5 MB
+    # at n = 5 a whole family would be 8 MB; a block is 0.5 MB, a source's
+    # table 0.5 MB and the hashes of one family 0.5 MB
     sources = _family_sources(n)
     size = min(count, _SQUARE_ROWS)
     starts = range(0, count, size)
@@ -571,21 +569,18 @@ def verify_special_sets(n: int) -> VerificationReport:
                 })
 
     # one pass of blocks per family: the squares, and a hash per row.
-    # Every block goes into a reused buffer: a fresh 1 MB array costs more
-    # in first-touch page faults than the arithmetic on it
-    cols, square_cols = np.empty((2, width, size), dtype=np.int64)
+    # Every block goes into a reused int32 buffer: a fresh 0.5 MB array
+    # costs more in first-touch page faults than the arithmetic on it
+    cols, square_cols, work = np.empty((3, width, size), dtype=np.int32)
     hashes = np.empty(count, dtype=np.uint64)
+    target = np.zeros(width, dtype=np.int32)  # -1 or 1, scaled like a square
     for kind in sources:
-        target = None
-        if kind is not SpecialSetKind.IDEMPOTENT:
-            target = np.zeros(width, dtype=np.int64)
-            target[0] = scale * scale
-            if kind is SpecialSetKind.SQUARE_MINUS_ONE:
-                target[0] = -target[0]
+        target[0] = (-1 if kind is SpecialSetKind.SQUARE_MINUS_ONE else 1) * scale * scale
         for start in starts:
             _family_block(sources[kind], start, size, out=cols)
             squares = _vectorized_square(cols.T, n, square_cols)
-            expected = scale * cols.T if target is None else target
+            expected = (np.multiply(cols, scale, out=work).T
+                        if kind is SpecialSetKind.IDEMPOTENT else target)
             bad = np.flatnonzero((squares != expected).any(axis=1))
             if bad.size:
                 break
@@ -596,9 +591,7 @@ def verify_special_sets(n: int) -> VerificationReport:
             return VerificationReport(False, checks, {
                 "law": f"defining equation of {kind.value}",
                 "element": str(MulticomplexNumber(n, cols[:, idx].tolist(), n - 1)),
-                "square": str(
-                    MulticomplexNumber(n, squares[idx].tolist(), 2 * n - 2)
-                ),
+                "square": str(MulticomplexNumber(n, squares[idx].tolist(), 2 * n - 2)),
             })
         checks += 1
         if not _distinct_rows(hashes, functools.partial(row, kind)):
@@ -614,17 +607,18 @@ def verify_special_sets(n: int) -> VerificationReport:
     # idempotent of the complementary pattern, count - 1 - p, so the block
     # at start meets the idempotent block at count - start - size, reversed.
     source = np.empty(width, dtype=np.intp)
-    signs = np.empty((width, 1), dtype=np.int64)
+    signs = np.empty((width, 1), dtype=np.int32)
     for m in range(width):
         sign, mm = unit_product(1, m)
         source[mm], signs[mm] = m, sign
-    h, other, work = cols, square_cols, np.empty_like(cols)
+    h, other = cols, square_cols
     i1_times = dyadic = halves = True
     for start in starts:
         _family_block(sources[SpecialSetKind.SQUARE_ONE], start, size, out=h)
         _family_block(sources[SpecialSetKind.SQUARE_MINUS_ONE], start, size,
                       out=other)
-        np.multiply(np.take(h, source, axis=0, out=work), signs, out=work)
+        np.take(h, source, axis=0, out=work, mode="wrap")  # "raise" would buffer
+        np.multiply(work, signs, out=work)
         if not np.array_equal(work, other):
             i1_times = False
             break

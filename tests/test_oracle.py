@@ -1,5 +1,6 @@
 """Tests for the brute-force validators."""
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -83,17 +84,21 @@ def loop_signed_power_count(N, r):
 
 def matmul_family_rows(n):
     """Each family as one int64 matmul of the 2^N pattern signs or bits
-    against the component basis: the reference for the family blocks of
-    oracle._family_sources and oracle._family_block."""
+    against the component basis, narrowed to the int32 of the oracle's
+    blocks: the reference for the family blocks of oracle._family_sources
+    and oracle._family_block."""
     N = 1 << (n - 1)
     re_rows, im_rows = oracle._component_basis_rows(n)
     bits = ((np.arange(1 << N)[:, None] >> np.arange(N)) & 1).astype(np.int64)
     pm = 1 - 2 * bits
-    return {
+    families = {
         SpecialSetKind.SQUARE_MINUS_ONE: pm @ im_rows,
         SpecialSetKind.SQUARE_ONE: pm @ re_rows,
         SpecialSetKind.IDEMPOTENT: bits @ re_rows,
     }
+    narrowed = {kind: rows.astype(np.int32) for kind, rows in families.items()}
+    assert all(np.array_equal(narrowed[kind], rows) for kind, rows in families.items())
+    return narrowed
 
 
 def fresh_law_inputs(n):
@@ -143,6 +148,48 @@ class TestReplacedLoops:
         out = np.full((1 << n, n_rows), 7, dtype=np.int64)
         assert np.array_equal(oracle._vectorized_square(rows, n, out),
                               loop_square(rows, n))
+
+    @given(st.integers(1, 5), st.integers(1, 9), st.integers(0, 2 ** 32 - 1))
+    def test_int32_square_at_the_bound_matches_the_int64_loop(self, n, n_rows, seed):
+        # entries up to the largest bound with width * bound^2 below 2^31.
+        # Row 0 reaches width * bound^2 at a unit m: every pair a, a xor m
+        # adds bound^2, and each cross term is doubled after the sum
+        width = 1 << n
+        bound = math.isqrt(((1 << 31) - 1) // width)
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(-bound, bound + 1, size=(n_rows, width), dtype=np.int32)
+        m = int(rng.integers(1, width))
+        for a in range(width):
+            if a < a ^ m:
+                sign, _ = unit_product(a, a ^ m)
+                rows[0, a], rows[0, a ^ m] = bound, sign * bound
+        out = np.full((width, n_rows), 7, dtype=np.int32)
+        squares = oracle._vectorized_square(rows, n, out)
+        reference = loop_square(rows.astype(np.int64), n)
+        assert squares.dtype == np.int32
+        assert reference[0, m] == width * bound * bound < 1 << 31
+        assert np.array_equal(squares, reference)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_tables_and_block_buffers_are_int32(self, n, monkeypatch):
+        for low, high in oracle._family_sources(n).values():
+            assert low.dtype == high.dtype == np.int32
+        family_block, square = oracle._family_block, oracle._vectorized_square
+        buffers = []
+
+        def block(source, start, size, out=None):
+            buffers.append(out.dtype if out is not None else None)
+            return family_block(source, start, size, out)
+
+        def recorded_square(C, n, out):
+            buffers.extend((C.dtype, out.dtype))
+            return square(C, n, out)
+
+        monkeypatch.setattr(oracle, "_family_block", block)
+        monkeypatch.setattr(oracle, "_vectorized_square", recorded_square)
+        assert verify_special_sets(n).ok
+        # the single rows of the spot checks are read without a buffer
+        assert set(buffers) == {None, np.dtype(np.int32)}
 
     # blocks of four rows take the pattern bits past the table from n = 3 on
     @pytest.mark.parametrize("block_rows", [4, 4096])
@@ -685,8 +732,21 @@ class TestVerifySpecialSets:
         with pytest.raises(OverflowError):
             verify_special_sets(n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_squares_that_fit_only_in_int64_are_refused(self, n, monkeypatch):
+        # the basis times 2^16: the family bound lies between 2^31 and 2^63
+        shifted = [rows << 16 for rows in _basis_rows(n)]
+        for rows in shifted:
+            # the sign families' bound lies between 2 and 3 sum |rows| in a column
+            total = int(np.abs(rows).sum(axis=0).max())
+            assert 1 << 31 <= (1 << n) * (2 * total) ** 2
+            assert (1 << n) * (3 * total) ** 2 < 1 << 63
+        monkeypatch.setattr(oracle, "_component_basis_rows", lambda n: shifted)
+        with pytest.raises(OverflowError, match="int32"):
+            verify_special_sets(n)
+
     def test_memory_stays_below_one_family(self):
-        # a whole family of MC(5) is 2^16 rows of 32 int64, 16 MB; numpy
+        # a whole family of MC(5) is 2^16 rows of 32 int32, 8 MB; numpy
         # reports its buffers to tracemalloc
         tracemalloc.start()
         try:
@@ -694,11 +754,20 @@ class TestVerifySpecialSets:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 16 << 20
+        assert peak < 8 << 20
 
     def test_hash_weights(self):
         assert len(set(oracle._HASH_WEIGHTS)) == 32
         assert all(w % 2 and 0 < w < 1 << 64 for w in oracle._HASH_WEIGHTS)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_row_hashes_are_dot_products_modulo_2_to_64(self, dtype):
+        cols = np.array([[-(2 ** 31), 5, 0], [-1, 2 ** 31 - 1, 7]], dtype=dtype)
+        expected = [sum(w * int(c) for w, c in zip(oracle._HASH_WEIGHTS, col))
+                    % (1 << 64) for col in cols.T]
+        hashes = oracle._row_hashes(cols)
+        assert hashes.dtype == np.uint64
+        assert hashes.tolist() == expected
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
